@@ -62,14 +62,17 @@ def _sizes(kind, obj):
 
 
 def _flower_record(g):
-    grown = garden_mod.flower_structure(g)
+    # The record needs the flowers only, not the successor sets that
+    # flower_structure would also build.
+    enumerated = garden_mod._enumerate_flowers(g)[0]
+    flowers = frozenset(enumerated)
     frame = g.bed.frame
     expected = 0
     for p in sorted(g.space.points):
         pf = garden_mod.point_filters(g, p)
         expected += len(pf["pdd"]) * len(frame.down(pf["pbb"].generator))
     bad = None
-    for fl in sorted(grown["flowers"], key=repr):
+    for fl in sorted(flowers, key=repr):
         pf = garden_mod.point_filters(g, fl.root)
         if fl.stalk not in pf["pdd"]:
             bad = ("stalk", repr(fl))
@@ -77,8 +80,10 @@ def _flower_record(g):
         if not frame.le(fl.bloom.generator, pf["pbb"].generator):
             bad = ("bloom", repr(fl))
             break
-    if bad is None and expected != len(grown["flowers"]):
-        bad = ("count", expected, len(grown["flowers"]))
+    if bad is None and len(enumerated) != len(flowers):
+        bad = ("duplicate", len(enumerated), len(flowers))
+    if bad is None and expected != len(flowers):
+        bad = ("count", expected, len(flowers))
     return {"id": "LAW.240B", "passed": bad is None, "witness": bad}
 
 

@@ -116,11 +116,13 @@ class Garden:
             len(self.bed.frame), len(self.space.points))
 
 
-def validate_garden(bed, space, covering, max_elements=32, max_points=8):
+def validate_garden(bed, space, covering, max_elements=None, max_points=None):
     """Check the bed axioms and the covering, then assemble a Garden.
 
-    covering maps each bed element to an open set of points.  Instances
-    beyond the size limits are rejected; pass None to lift a limit.
+    covering maps each bed element to an open set of points.  No size is
+    limited by default, so every garden the library builds also loads
+    back; a caller that passes max_elements or max_points gets SizeLimit
+    for an instance beyond it.
     """
     if max_elements is not None and len(bed.frame) > max_elements:
         raise SizeLimit("%d elements exceeds the limit of %d"
@@ -272,14 +274,19 @@ def point_filters(g, p):
 
 
 class Flower:
-    """A root point, a stalk element, and a bloom filter."""
+    """A root point, a stalk element, and a bloom filter.
 
-    __slots__ = ("root", "stalk", "bloom")
+    Flowers live in large sets and dicts, so the hash is computed once,
+    here; the three parts are not reassigned afterwards.
+    """
+
+    __slots__ = ("root", "stalk", "bloom", "_hash")
 
     def __init__(self, root, stalk, bloom):
         self.root = root
         self.stalk = stalk
         self.bloom = bloom
+        self._hash = hash((root, stalk, bloom.generator))
 
     def __eq__(self, other):
         if not isinstance(other, Flower):
@@ -288,7 +295,11 @@ class Flower:
                 and self.bloom.generator == other.bloom.generator)
 
     def __hash__(self):
-        return hash((self.root, self.stalk, self.bloom.generator))
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__ so an unpickled flower rehashes its parts
+        return (Flower, (self.root, self.stalk, self.bloom))
 
     def __repr__(self):
         return "(%s;%s;^%s)" % (self.root, self.stalk, self.bloom.generator)
@@ -427,10 +438,12 @@ def harvest(g):
                 raise PostconditionFailure(
                     "survivor %r cannot reach %r" % (fl, x))
 
-    succ_of_pattern = {
-        key: frozenset(x for q in region & final_roots
-                       for x in live_by_root[q])
-        for key, region in regions.items()}
+    succ_of_pattern = {}
+    for fl in survivors:
+        key = (fl.stalk, fl.bloom.generator)
+        if key not in succ_of_pattern:
+            succ_of_pattern[key] = frozenset(
+                x for q in regions[key] & final_roots for x in live_by_root[q])
     structure = TransitionStructure(
         survivors,
         succ={fl: succ_of_pattern[(fl.stalk, fl.bloom.generator)]

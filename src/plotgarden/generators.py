@@ -370,7 +370,11 @@ def _candidates(kind, obj):
 
 
 def shrink_instance(kind, obj, still_fails, rounds=40):
-    """Greedily drop parts while the failure persists."""
+    """Greedily drop parts while the failure persists.
+
+    A candidate that cannot be built, or on which still_fails raises
+    rather than answering, is skipped.
+    """
     for _ in range(rounds):
         for make in _candidates(kind, obj):
             try:
@@ -380,7 +384,7 @@ def shrink_instance(kind, obj, still_fails, rounds=40):
             try:
                 failing = still_fails(candidate)
             except Exception:
-                failing = True
+                continue
             if failing:
                 obj = candidate
                 break

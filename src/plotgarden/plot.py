@@ -335,8 +335,7 @@ def functor_G_object(plot):
     bed = garden_mod.Bed(lifted.frame, dict(lifted.box_sigma),
                          dict(lifted.diamond_sigma))
     covering = {name: lifted.frame.set_of(name) for name in lifted.frame.elements}
-    result = garden_mod.validate_garden(bed, plot.space, covering,
-                                        max_elements=None, max_points=None)
+    result = garden_mod.validate_garden(bed, plot.space, covering)
     plot.__dict__["_garden_of"] = result
     return result
 

@@ -108,10 +108,11 @@ class NodeMap:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
+        target_nodes = target.succ   # keyed by exactly the target's nodes
         for n in source.nodes:
             if n not in self.mapping:
                 raise ValueError("no image for node %r" % (n,))
-            if self.mapping[n] not in frozenset(target.nodes):
+            if self.mapping[n] not in target_nodes:
                 raise ValueError("image of %r not in target" % (n,))
 
     def __call__(self, n):

@@ -133,3 +133,10 @@ def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     assert cex.exists()
     ws = parse_workspace(cex.read_text())
     assert ws.category_of("cex") == "gardens"
+
+
+def test_fuzz_medium_tier_passes(capsys):
+    # instance 9 is a 39-element garden, beyond the old 32-element default
+    assert run_cli(["fuzz", "--seed", "7", "--count", "10",
+                    "--profile", "nodes=16,points=8"]) == 0
+    assert "10/10 instances pass" in capsys.readouterr().out

@@ -1,0 +1,126 @@
+"""The garden fast path against plain definitions, above the default size.
+
+The gardens come from the medium tier (nodes=16, points=8): 18 to 64
+frame elements and up to 4.9k candidate flowers, beyond both the default
+fuzz profile and the oracles' size caps.
+"""
+
+import pickle
+import random
+
+import pytest
+
+from plotgarden import cli
+from plotgarden import garden as garden_mod
+from plotgarden.garden import (Flower, _enumerate_flowers, flower_structure,
+                               harvest, point_filters)
+from plotgarden.generators import parse_profile, random_plot
+from plotgarden.lattice import Filter
+from plotgarden.oracles import oracle_flowers
+from plotgarden.plot import functor_G_object
+
+MEDIUM = parse_profile("nodes=16,points=8")
+
+
+def medium_garden(seed):
+    return functor_G_object(random_plot(random.Random(seed), MEDIUM))
+
+
+@pytest.fixture(scope="module", params=["medium:0", "medium:5", "medium:6"])
+def garden(request):
+    return medium_garden(request.param)
+
+
+def scanned_flowers(g):
+    """Candidate flowers by the triple scan oracle_flowers makes, without
+    its size cap."""
+    frame = g.bed.frame
+    up = {c: frozenset(frame.up(c)) for c in frame.elements}
+    flowers = set()
+    for p in g.space.points:
+        boxed = frozenset(x for x in frame.elements
+                          if p in g.alpha(g.bed.box[x]))
+        for a in frame.elements:
+            if p in g.alpha(g.bed.diamond[a]):
+                continue
+            for c in frame.elements:
+                if boxed <= up[c]:
+                    flowers.add(Flower(p, a, Filter(frame, c)))
+    return flowers
+
+
+def flower_record_from_structure(g):
+    """LAW.240B as computed from flower_structure's flower set."""
+    flowers = flower_structure(g)["flowers"]
+    frame = g.bed.frame
+    expected = 0
+    for p in sorted(g.space.points):
+        pf = point_filters(g, p)
+        expected += len(pf["pdd"]) * len(frame.down(pf["pbb"].generator))
+    bad = None
+    for fl in sorted(flowers, key=repr):
+        pf = point_filters(g, fl.root)
+        if fl.stalk not in pf["pdd"]:
+            bad = ("stalk", repr(fl))
+            break
+        if not frame.le(fl.bloom.generator, pf["pbb"].generator):
+            bad = ("bloom", repr(fl))
+            break
+    if bad is None and expected != len(flowers):
+        bad = ("count", expected, len(flowers))
+    return {"id": "LAW.240B", "passed": bad is None, "witness": bad}
+
+
+def test_flower_hash_follows_its_parts(garden):
+    frame = garden.bed.frame
+    for fl in _enumerate_flowers(garden)[0][::25]:
+        twin = Flower(fl.root, fl.stalk, Filter(frame, fl.bloom.generator))
+        assert twin is not fl
+        assert twin == fl and hash(twin) == hash(fl)
+
+
+def test_unpickled_flower_rehashes_its_parts(sierp_garden):
+    fl = _enumerate_flowers(sierp_garden)[0][0]
+    stale = Flower(fl.root, fl.stalk, fl.bloom)
+    stale._hash = hash(fl) + 1    # as if hashed under another hash seed
+    back = pickle.loads(pickle.dumps(stale))
+    assert back == fl and hash(back) == hash(fl)
+
+
+def test_enumeration_matches_triple_scan(garden):
+    enumerated = _enumerate_flowers(garden)[0]
+    assert len(garden.bed.frame) > 16
+    assert set(enumerated) == scanned_flowers(garden)
+    assert len(set(enumerated)) == len(enumerated)
+
+
+@pytest.mark.parametrize("seed", ["medium:1", "medium:2", "medium:4"])
+def test_flower_oracle_on_medium_gardens_under_its_cap(seed):
+    assert oracle_flowers(medium_garden(seed))["passed"]
+
+
+def test_harvest_successors_are_the_live_rooted_region(garden):
+    plot = harvest(garden)
+    survivors = plot.structure.nodes
+    assert survivors
+    live_roots = frozenset(fl.root for fl in survivors)
+    for fl in survivors:
+        region = garden.alpha(fl.bloom.generator) - garden.alpha(fl.stalk)
+        reach = region & live_roots
+        expected = frozenset(s for s in survivors if s.root in reach)
+        assert plot.structure.succ[fl] == expected
+
+
+def test_flower_record_matches_flower_structure(garden):
+    got = cli._flower_record(garden)
+    assert got["passed"]
+    assert got == flower_record_from_structure(garden)
+
+
+def test_flower_record_counts_a_repeated_flower(sierp_garden, monkeypatch):
+    flowers, by_root = _enumerate_flowers(sierp_garden)
+    monkeypatch.setattr(garden_mod, "_enumerate_flowers",
+                        lambda g: (flowers + flowers[:1], by_root))
+    got = cli._flower_record(sierp_garden)
+    assert not got["passed"]
+    assert got["witness"] == ("duplicate", len(flowers) + 1, len(flowers))

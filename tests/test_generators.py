@@ -142,3 +142,11 @@ def test_shrink_keeps_failure():
     g = random_garden(random.Random("shrink:2"))
     small_g = shrink_instance("garden", g, lambda x: True)
     assert len(small_g.space.points) <= len(g.space.points)
+
+
+def test_shrink_rejects_candidates_whose_check_raises():
+    plot = random_plot(random.Random("shrink:1"))
+
+    def broken_check(p):
+        raise RuntimeError("the check itself is broken")
+    assert shrink_instance("plot", plot, broken_check) is plot

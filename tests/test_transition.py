@@ -80,3 +80,12 @@ def test_characterize_operators_rejects_non_multiplicative_box():
 
     report = characterize_operators(st, fake_box, fake_diamond)
     assert not report["lemma_holds"]
+
+
+def test_node_map_rejects_missing_and_foreign_images():
+    src = TransitionStructure(["a", "b"], edges=[("a", "b")])
+    tgt = TransitionStructure(["x", "y"], edges=[])
+    with pytest.raises(ValueError, match="no image for node 'b'"):
+        NodeMap(src, tgt, {"a": "x"})
+    with pytest.raises(ValueError, match="image of 'b' not in target"):
+        NodeMap(src, tgt, {"a": "x", "b": "z"})

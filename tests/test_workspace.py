@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from plotgarden.workspace import (UnresolvedReference, ValidationError,
                                   WorkspaceSyntaxError, instance_workspace,
                                   parse_workspace, serialize_workspace)
-from plotgarden.plot import classify_plot_map
+from plotgarden.plot import classify_plot_map, functor_G_object
+from plotgarden.generators import parse_profile, random_plot
 from plotgarden.garden import check_garden_morphism, harvest
 from plotgarden.adjunction import algebraic_unit, geometric_unit
 
@@ -118,3 +120,14 @@ def test_instance_with_flower_nodes_reloads(sierp_plot):
     verdict = classify_plot_map(back)
     assert verdict["is_plot_map"] and verdict["is_lentile"]
     assert "(P;{};^{Q})" in back.target.structure.nodes
+
+
+def test_medium_tier_garden_reloads_byte_for_byte():
+    profile = parse_profile("nodes=16,points=8")
+    garden = functor_G_object(random_plot(random.Random("reload:0"), profile))
+    assert len(garden.bed.frame) > 32
+    text = json.dumps(instance_workspace("garden", garden),
+                      sort_keys=True, indent=2) + "\n"
+    ws = parse_workspace(text)
+    assert ws.resolve("cex") == garden
+    assert serialize_workspace(ws) == text
