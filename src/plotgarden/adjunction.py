@@ -27,7 +27,7 @@ def _stalk_bloom(plot):
     """Per node: the complement of the closure of its valued successors,
     and the least open around them (the bloom filter's generator)."""
     space = plot.space
-    node_img = _successor_images(plot.structure, plot.valuation)
+    node_img = _successor_images(plot)
     memo, out = {}, {}
     for n in plot.structure.nodes:
         W = node_img[n]
@@ -68,11 +68,31 @@ def algebraic_unit(g):
 
 
 def _geometric_unit_core(plot):
+    """The geometric unit of a plot and its law records, or None and the
+    records up to the first failure.
+
+    Built once per plot; each call gets its own records list.  The cache
+    holds the map's parts rather than the map, whose source is the plot
+    itself, so that caching makes no reference cycle.
+    """
+    cached = plot.__dict__.get("_geometric_unit")
+    if cached is None:
+        result, records = _build_geometric_unit(plot)
+        parts = (None if result is None else
+                 (result.target, result.node_map, result.point_map))
+        cached = (parts, records)
+        plot.__dict__["_geometric_unit"] = cached
+    parts, records = cached
+    result = None if parts is None else PlotMap(plot, *parts)
+    return result, [dict(r) for r in records]
+
+
+def _build_geometric_unit(plot):
     G = functor_G_object(plot)
     target = harvest(G)
     fr = G.bed.frame
     data = _stalk_bloom(plot)
-    node_img = _successor_images(plot.structure, plot.valuation)
+    node_img = _successor_images(plot)
 
     records = []
     mapping = {}

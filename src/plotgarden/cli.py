@@ -250,25 +250,33 @@ def _cmd_verify(args):
                  instance={"ref": args.ref, "sizes": _sizes(kind, obj)},
                  extra=extra)
     if code == 1:
-        _write_counterexample(args, kind, obj)
+        _write_counterexample(args, kind, obj, _first_failing_law(records))
     return code
+
+
+def _law_records(kind, obj, law_id):
+    if law_id.startswith("ORACLE"):
+        records = oracles.oracle_records(kind, obj)
+    else:
+        records = _safe_suite(kind, obj)
+    return [r for r in records if r["id"] == law_id]
+
+
+def _first_failing_law(records):
+    return next(r["id"] for r in records if not r["passed"])
 
 
 def _cmd_oracle(args):
     _, obj, kind = _load_ref(args.ref)
     law_id = args.law_id
-    if law_id.startswith("ORACLE"):
-        records = [r for r in oracles.oracle_records(kind, obj)
-                   if r["id"] == law_id]
-    else:
-        records = [r for r in _safe_suite(kind, obj) if r["id"] == law_id]
+    records = _law_records(kind, obj, law_id)
     if not records:
         raise UnknownCommand("law %r does not apply to %s" % (law_id, args.ref))
     code = _emit(args, records,
                  instance={"ref": args.ref, "law": law_id,
                            "sizes": _sizes(kind, obj)})
     if code == 1:
-        _write_counterexample(args, kind, obj)
+        _write_counterexample(args, kind, obj, law_id)
     return code
 
 
@@ -280,10 +288,11 @@ def _counterexample_path(args):
     return base + ".cex.ws"
 
 
-def _write_counterexample(args, kind, obj, still_fails=None):
-    if still_fails is None:
-        def still_fails(candidate):
-            return any(not r["passed"] for r in _safe_suite(kind, candidate))
+def _write_counterexample(args, kind, obj, law_id):
+    # a smaller candidate must fail the same law as the instance
+    def still_fails(candidate):
+        return any(not r["passed"]
+                   for r in _law_records(kind, candidate, law_id))
     shrunk = generators.shrink_instance(kind, obj, still_fails)
     raw = workspace_mod.instance_workspace(kind, shrunk)
     path = _counterexample_path(args)
@@ -315,7 +324,7 @@ def _cmd_fuzz(args):
         print("%s  %-22s  %d records" % (mark, inst["name"],
                                          len(doc["records"])))
         if not doc["passed"] and first_failure is None:
-            first_failure = (kind, obj)
+            first_failure = (kind, obj, _first_failing_law(records))
     merged = report.merge_reports(runs)
     if getattr(args, "report", None):
         with open(args.report, "w", encoding="utf-8") as handle:

@@ -572,7 +572,7 @@ def lift_report(plot):
 
     st = plot.structure
     sigma = plot.valuation
-    node_img = _successor_images(st, sigma)
+    node_img = _successor_images(plot)
     bad = None
     for U in plot.space.sorted_opens():
         uname = set_name(U)

@@ -78,9 +78,6 @@ class FiniteFrame:
     def down(self, a):
         return frozenset(x for x in self.elements if self.le(x, a))
 
-    def index(self, a):
-        return self._index[a]
-
     def __len__(self):
         return len(self.elements)
 

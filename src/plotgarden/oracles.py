@@ -143,8 +143,9 @@ def _filter_tables(g):
     return tables
 
 
-def oracle_flowers(g):
-    """Rebuild the candidate flowers and their edges by triple scan."""
+def _scanned_flowers(g):
+    """Every candidate flower, by a triple scan over points, stalks and
+    bloom generators."""
     frame = g.bed.frame
     tables = _filter_tables(g)
     flowers = set()
@@ -157,7 +158,12 @@ def oracle_flowers(g):
                 up_c = frozenset(frame.up(c))
                 if boxed <= up_c:
                     flowers.add(Flower(p, a, Filter(frame, c)))
+    return flowers
 
+
+def oracle_flowers(g):
+    """Rebuild the candidate flowers and their edges by triple scan."""
+    flowers = _scanned_flowers(g)
     grown = flower_structure(g)
     if flowers != set(grown["flowers"]):
         extra = flowers - set(grown["flowers"])
@@ -177,9 +183,7 @@ def oracle_flowers(g):
 def oracle_harvest(g):
     """Prune by full rescans and compare against the harvest plot."""
     frame = g.bed.frame
-    tables = _filter_tables(g)
-    grown = flower_structure(g)
-    live = set(grown["flowers"])
+    live = _scanned_flowers(g)
 
     def healthy(fl, roots):
         region = g.alpha(fl.bloom.generator) - g.alpha(fl.stalk)

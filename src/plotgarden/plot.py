@@ -117,18 +117,27 @@ def compose_plot_maps(outer, inner):
     return PlotMap(inner.source, outer.target, nm, pm)
 
 
-def _successor_images(structure, valuation):
-    """Per-node valuation image of the successor set, shared where possible."""
-    cache = {}
+def _successor_images(plot):
+    """Per node: the valuation image of its successor set.
+
+    Computed once per plot and shared, as is each image among the nodes
+    whose successor sets are one object; callers must not mutate it.
+    """
+    cached = plot.__dict__.get("_successor_images")
+    if cached is not None:
+        return cached
+    structure, valuation = plot.structure, plot.valuation
+    by_succ = {}
     out = {}
     for n in structure.nodes:
         s = structure.succ[n]
         key = id(s)
-        mask = cache.get(key)
-        if mask is None:
-            mask = frozenset(valuation[x] for x in s)
-            cache[key] = mask
-        out[n] = mask
+        image = by_succ.get(key)
+        if image is None:
+            image = frozenset(valuation[x] for x in s)
+            by_succ[key] = image
+        out[n] = image
+    plot.__dict__["_successor_images"] = out
     return out
 
 
@@ -157,8 +166,8 @@ def classify_plot_map(m):
     T = tgt.space
     order = T.specialization()
     opens = T.sorted_opens()
-    src_img = _successor_images(src.structure, sigma)
-    tgt_img = _successor_images(tgt.structure, tau)
+    src_img = _successor_images(src)
+    tgt_img = _successor_images(tgt)
 
     phi_img = {}      # source-point mask -> its image in T
     lens_memo = {}
@@ -240,12 +249,19 @@ def lift_operators(plot):
     defining biconditional is re-verified for every open pair, the bed
     laws are asserted, and the valuation preimage is checked to be lax
     over both operators.  Any failure raises PostconditionFailure.
+
+    Lifted once per plot and shared: every later call returns the same
+    LiftedBed, whose tables callers must not mutate.
     """
+    cached = plot.__dict__.get("_lift")
+    if cached is not None:
+        return cached
     space = plot.space
     frame = topology_frame(space)
+    name = frame.open_names
     st = plot.structure
     sigma = plot.valuation
-    node_img = _successor_images(st, sigma)
+    node_img = _successor_images(plot)
 
     imgs_by_point = {p: set() for p in space.points}
     for n in st.nodes:
@@ -253,7 +269,7 @@ def lift_operators(plot):
     cup = {p: frozenset().union(*imgs_by_point[p]) for p in space.points}
 
     opens = space.sorted_opens()
-    box_table, diamond_table = {}, {}
+    box, diamond = {}, {}      # open -> its lifted open
     eligible_box, eligible_diamond = {}, {}
     for U in opens:
         BU = frozenset(p for p in space.points if cup[p] <= U)
@@ -261,54 +277,54 @@ def lift_operators(plot):
                        if all(m & U for m in imgs_by_point[p]))
         eligible_box[U] = BU
         eligible_diamond[U] = DU
-        box_table[set_name(U)] = set_name(space.interior(BU))
-        diamond_table[set_name(U)] = set_name(space.interior(DU))
+        box[U] = space.interior(BU)
+        diamond[U] = space.interior(DU)
 
     def fail(msg):
         raise PostconditionFailure("lift_operators on %r: %s" % (plot, msg))
 
-    fr = frame
     for U in opens:
-        boxU = fr.set_of(box_table[set_name(U)])
-        diaU = fr.set_of(diamond_table[set_name(U)])
+        boxU, diaU = box[U], diamond[U]
         for V in opens:
             if (V <= eligible_box[U]) != (V <= boxU):
                 fail("box biconditional fails at U=%s V=%s"
-                     % (set_name(U), set_name(V)))
+                     % (name[U], name[V]))
             if (V <= eligible_diamond[U]) != (V <= diaU):
                 fail("diamond biconditional fails at U=%s V=%s"
-                     % (set_name(U), set_name(V)))
+                     % (name[U], name[V]))
         # the preimage of the lifted value must itself be eligible (laxity)
         if not boxU <= eligible_box[U]:
-            fail("preimage not lax over box at %s" % set_name(U))
+            fail("preimage not lax over box at %s" % name[U])
         if not diaU <= eligible_diamond[U]:
-            fail("preimage not lax over diamond at %s" % set_name(U))
+            fail("preimage not lax over diamond at %s" % name[U])
 
     if len(st.nodes) <= 64 and len(opens) <= 64:
-        _recheck_lift_nodewise(plot, frame, box_table, diamond_table, fail)
+        _recheck_lift_nodewise(plot, box, diamond, fail)
 
-    top = set_name(space.full)
-    if box_table[top] != top:
+    if box[space.full] != space.full:
         fail("box does not preserve the top open")
-    if plot.surjective and diamond_table[set_name(frozenset())] != set_name(frozenset()):
+    empty = frozenset()
+    if plot.surjective and diamond[empty] != empty:
         fail("diamond of the empty open is not empty")
     for U in opens:
         for V in opens:
-            nU, nV = set_name(U), set_name(V)
-            meet = set_name(U & V)
-            if box_table[meet] != set_name(fr.set_of(box_table[nU])
-                                           & fr.set_of(box_table[nV])):
-                fail("box does not preserve the meet of %s and %s" % (nU, nV))
-            if U <= V and not fr.set_of(diamond_table[nU]) <= fr.set_of(diamond_table[nV]):
-                fail("diamond not monotone on %s <= %s" % (nU, nV))
-            mixed = fr.set_of(box_table[nU]) & fr.set_of(diamond_table[nV])
-            if not mixed <= fr.set_of(diamond_table[meet]):
-                fail("mixed law fails on %s, %s" % (nU, nV))
+            meet = U & V
+            if box[meet] != box[U] & box[V]:
+                fail("box does not preserve the meet of %s and %s"
+                     % (name[U], name[V]))
+            if U <= V and not diamond[U] <= diamond[V]:
+                fail("diamond not monotone on %s <= %s" % (name[U], name[V]))
+            if not box[U] & diamond[V] <= diamond[meet]:
+                fail("mixed law fails on %s, %s" % (name[U], name[V]))
 
-    return LiftedBed(frame, box_table, diamond_table, space, plot.surjective)
+    lifted = LiftedBed(frame, {name[U]: name[box[U]] for U in opens},
+                       {name[U]: name[diamond[U]] for U in opens},
+                       space, plot.surjective)
+    plot.__dict__["_lift"] = lifted
+    return lifted
 
 
-def _recheck_lift_nodewise(plot, frame, box_table, diamond_table, fail):
+def _recheck_lift_nodewise(plot, box, diamond, fail):
     # small instances: recompute every membership from the raw definitions
     st, sigma, space = plot.structure, plot.valuation, plot.space
     inv = {V: frozenset(n for n in st.nodes if sigma[n] in V)
@@ -318,9 +334,9 @@ def _recheck_lift_nodewise(plot, frame, box_table, diamond_table, fail):
         dia_nodes = frozenset(n for n in st.nodes if st.succ[n] & inv[U])
         best_box = [V for V in space.opens if inv[V] <= box_nodes]
         best_dia = [V for V in space.opens if inv[V] <= dia_nodes]
-        if frozenset().union(*best_box) != frame.set_of(box_table[set_name(U)]):
+        if frozenset().union(*best_box) != box[U]:
             fail("nodewise box recheck fails at %s" % set_name(U))
-        if frozenset().union(*best_dia) != frame.set_of(diamond_table[set_name(U)]):
+        if frozenset().union(*best_dia) != diamond[U]:
             fail("nodewise diamond recheck fails at %s" % set_name(U))
 
 

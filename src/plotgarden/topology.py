@@ -61,12 +61,21 @@ class FiniteSpace:
         return frozenset().union(*inside) if inside else frozenset()
 
     def specialization(self):
-        """All pairs (p, q) with p below q: every open holding p holds q."""
+        """All pairs (p, q) with p below q: every open holding p holds q.
+
+        Computed once per space and shared: every caller gets the same
+        frozenset.
+        """
+        cached = self.__dict__.get("_specialization")
+        if cached is not None:
+            return cached
         pairs = set()
         for p, q in itertools.product(self.points, repeat=2):
             if all(q in V for V in self.opens if p in V):
                 pairs.add((p, q))
-        return frozenset(pairs)
+        result = frozenset(pairs)
+        self.__dict__["_specialization"] = result
+        return result
 
     def saturation(self, E):
         E = frozenset(E)
@@ -126,6 +135,7 @@ class TopologyFrame(FiniteFrame):
         super().__init__(*args)
         self.space = space
         self.open_sets = {set_name(V): V for V in space.opens}
+        self.open_names = {V: name for name, V in self.open_sets.items()}
 
     def set_of(self, name):
         return self.open_sets[name]
@@ -135,7 +145,14 @@ class TopologyFrame(FiniteFrame):
 
 
 def topology_frame(space):
-    """The inclusion-ordered frame of open sets, elements named canonically."""
+    """The inclusion-ordered frame of open sets, elements named canonically.
+
+    Built once per space and shared: every caller gets the same frame,
+    which nobody may mutate.
+    """
+    cached = space.__dict__.get("_topology_frame")
+    if cached is not None:
+        return cached
     opens = sorted(space.opens, key=set_name)
     names = {V: set_name(V) for V in opens}
     elements = sorted(names.values())
@@ -144,8 +161,10 @@ def topology_frame(space):
             for V, W in itertools.product(opens, repeat=2)}
     join = {(names[V], names[W]): names[V | W]
             for V, W in itertools.product(opens, repeat=2)}
-    return TopologyFrame(space, elements, up, meet, join,
-                         set_name(frozenset()), set_name(space.full))
+    frame = TopologyFrame(space, elements, up, meet, join,
+                          set_name(frozenset()), set_name(space.full))
+    space.__dict__["_topology_frame"] = frame
+    return frame
 
 
 class ContinuousMap:

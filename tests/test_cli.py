@@ -1,9 +1,11 @@
 import json
+import random
 from pathlib import Path
 
 import plotgarden.cli as cli
 from plotgarden.cli import run_cli
-from plotgarden.workspace import parse_workspace
+from plotgarden.generators import Profile, random_plot
+from plotgarden.workspace import instance_workspace, parse_workspace
 
 FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures.ws")
 
@@ -140,3 +142,48 @@ def test_fuzz_medium_tier_passes(capsys):
     assert run_cli(["fuzz", "--seed", "7", "--count", "10",
                     "--profile", "nodes=16,points=8"]) == 0
     assert "10/10 instances pass" in capsys.readouterr().out
+
+
+def write_plot(tmp_path, plot):
+    path = tmp_path / "plot.ws"
+    path.write_text(json.dumps(instance_workspace("plot", plot)))
+    return str(path) + "#cex"
+
+
+def shrunk_size(tmp_path):
+    ws = parse_workspace((tmp_path / "run.cex.ws").read_text())
+    return len(ws.resolve("cex").structure.nodes)
+
+
+def test_counterexample_keeps_the_first_failing_law(tmp_path, monkeypatch):
+    plot = random_plot(random.Random("shrink:1"),
+                       Profile(min_nodes=5, max_nodes=6))
+    target = write_plot(tmp_path, plot)
+
+    def fake_suite(kind, obj):
+        # below four nodes only the later law fails
+        big = len(obj.structure.nodes) >= 4
+        return [{"id": "LAW.210C", "passed": True, "witness": None},
+                {"id": "LAW.220G", "passed": not big, "witness": None},
+                {"id": "LAW.250L", "passed": False, "witness": None}]
+    monkeypatch.setattr(cli, "_safe_suite", fake_suite)
+    assert run_cli(["verify", target,
+                    "--report", str(tmp_path / "run.json")]) == 1
+    assert 4 <= shrunk_size(tmp_path) < len(plot.structure.nodes)
+
+
+def test_oracle_counterexample_keeps_the_law_asked_about(tmp_path,
+                                                        monkeypatch):
+    plot = random_plot(random.Random("shrink:1"),
+                       Profile(min_nodes=5, max_nodes=6))
+    target = write_plot(tmp_path, plot)
+
+    def fake_suite(kind, obj):
+        # the suite fails another law first, on every size
+        big = len(obj.structure.nodes) >= 4
+        return [{"id": "LAW.220G", "passed": False, "witness": None},
+                {"id": "LAW.250L", "passed": not big, "witness": None}]
+    monkeypatch.setattr(cli, "_safe_suite", fake_suite)
+    assert run_cli(["oracle", "LAW.250L", target,
+                    "--report", str(tmp_path / "run.json")]) == 1
+    assert 4 <= shrunk_size(tmp_path) < len(plot.structure.nodes)

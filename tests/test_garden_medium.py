@@ -7,19 +7,23 @@ fuzz profile and the oracles' size caps.
 
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
 from plotgarden import cli
 from plotgarden import garden as garden_mod
+from plotgarden import oracles
 from plotgarden.garden import (Flower, _enumerate_flowers, flower_structure,
                                harvest, point_filters)
 from plotgarden.generators import parse_profile, random_plot
 from plotgarden.lattice import Filter
-from plotgarden.oracles import oracle_flowers
-from plotgarden.plot import functor_G_object
+from plotgarden.oracles import oracle_flowers, oracle_harvest
+from plotgarden.plot import _successor_images, functor_G_object
+from plotgarden.workspace import parse_workspace
 
 MEDIUM = parse_profile("nodes=16,points=8")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures.ws"
 
 
 def medium_garden(seed):
@@ -97,6 +101,45 @@ def test_enumeration_matches_triple_scan(garden):
 @pytest.mark.parametrize("seed", ["medium:1", "medium:2", "medium:4"])
 def test_flower_oracle_on_medium_gardens_under_its_cap(seed):
     assert oracle_flowers(medium_garden(seed))["passed"]
+
+
+def test_oracle_harvest_builds_no_flower_structure(monkeypatch):
+    def refuse(g):
+        raise AssertionError("flower_structure called")
+    monkeypatch.setattr(garden_mod, "flower_structure", refuse)
+    monkeypatch.setattr(oracles, "flower_structure", refuse)
+    assert oracle_harvest(medium_garden("medium:1"))["passed"]
+
+
+def fixture_gardens():
+    ws = parse_workspace(FIXTURES.read_text())
+    for name in ws.names():
+        if ws.category_of(name) == "gardens":
+            yield name, ws.resolve(name)
+        elif ws.category_of(name) == "plots":
+            yield name, functor_G_object(ws.resolve(name))
+
+
+def assert_images_are_valued_successors(g):
+    # harvest plots share one successor set among a pattern's flowers,
+    # which the image cache keys on
+    plot = harvest(g)
+    images = _successor_images(plot)
+    assert set(images) == set(plot.structure.nodes)
+    for fl in plot.structure.nodes:
+        assert images[fl] == frozenset(
+            plot.valuation[x] for x in plot.structure.succ[fl])
+
+
+def test_harvest_images_match_successors_on_fixture_gardens():
+    gardens = dict(fixture_gardens())
+    assert len(gardens) == 5
+    for g in gardens.values():
+        assert_images_are_valued_successors(g)
+
+
+def test_harvest_images_match_successors(garden):
+    assert_images_are_valued_successors(garden)
 
 
 def test_harvest_successors_are_the_live_rooted_region(garden):
