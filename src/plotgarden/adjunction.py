@@ -14,9 +14,10 @@ from .transition import NodeMap
 from .plot import (NotLentile, PlotMap, PostconditionFailure,
                    _successor_images, classify_plot_map, compose_plot_maps,
                    functor_G_arrow, functor_G_object, identity_plot_map)
-from .garden import (Flower, Garden, GardenMorphism, check_garden_morphism,
-                     compose_garden_morphisms, functor_F_arrow, harvest,
-                     healthy_witness, identity_garden_morphism, point_filters)
+from .garden import (Flower, Garden, GardenMorphism, _flower_fault, _region,
+                     check_garden_morphism, compose_garden_morphisms,
+                     functor_F_arrow, harvest, healthy_witness,
+                     identity_garden_morphism)
 
 
 def _record(law, passed, witness=None):
@@ -105,8 +106,7 @@ def _build_geometric_unit(plot):
         fl = flower_memo.get(key)
         if fl is None:
             fl = Flower(root, stalk, Filter(fr, gen))
-            pf = point_filters(G, root)
-            if stalk not in pf["pdd"] or not fr.le(gen, pf["pbb"].generator):
+            if _flower_fault(G, root, stalk, gen):
                 flower_fail = fl
             flower_memo[key] = fl
         mapping[n] = fl
@@ -134,8 +134,7 @@ def _build_geometric_unit(plot):
         if key in seen:
             continue
         seen.add(key)
-        region = G.alpha(fl.bloom.generator) - G.alpha(fl.stalk)
-        if not node_img[n] <= region:
+        if not node_img[n] <= _region(G, fl.stalk, fl.bloom.generator):
             preserved = False
             records.append(_record("LAW.250F", False, n))
             break
@@ -280,10 +279,9 @@ def _verify_plot(plot):
     try:
         eta_plot = geometric_unit(plot)
         eta_garden, _ = _algebraic_unit_core(G1)
-        forward = compose_garden_morphisms(functor_G_arrow(eta_plot),
-                                           eta_garden)
-        backward = compose_garden_morphisms(eta_garden,
-                                            functor_G_arrow(eta_plot))
+        transpose = functor_G_arrow(eta_plot)
+        forward = compose_garden_morphisms(transpose, eta_garden)
+        backward = compose_garden_morphisms(eta_garden, transpose)
         ok = (forward == identity_garden_morphism(G1)
               and backward == identity_garden_morphism(G2))
         records.append(_record("LAW.250L", ok))

@@ -73,12 +73,10 @@ def _flower_record(g):
         expected += len(pf["pdd"]) * len(frame.down(pf["pbb"].generator))
     bad = None
     for fl in sorted(flowers, key=repr):
-        pf = garden_mod.point_filters(g, fl.root)
-        if fl.stalk not in pf["pdd"]:
-            bad = ("stalk", repr(fl))
-            break
-        if not frame.le(fl.bloom.generator, pf["pbb"].generator):
-            bad = ("bloom", repr(fl))
+        fault = garden_mod._flower_fault(g, fl.root, fl.stalk,
+                                         fl.bloom.generator)
+        if fault:
+            bad = (fault, repr(fl))
             break
     if bad is None and len(enumerated) != len(flowers):
         bad = ("duplicate", len(enumerated), len(flowers))

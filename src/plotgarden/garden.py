@@ -40,7 +40,7 @@ class SizeLimit(GardenError):
 
 
 class Bed:
-    """A finite frame with box and diamond element maps."""
+    """A finite frame with box and diamond element maps, fixed once built."""
 
     def __init__(self, frame, box, diamond):
         self.frame = frame
@@ -66,7 +66,19 @@ class Bed:
 
 
 def bed_violations(bed):
-    """First witness per broken bed law, as (law, witness) pairs."""
+    """First witness per broken bed law, as (law, witness) pairs.
+
+    Computed once per bed and cached on it: lift_operators, lift_report
+    and validate_garden read one verdict.  Each call gets a fresh list.
+    """
+    found = bed.__dict__.get("_violations")
+    if found is None:
+        found = tuple(_bed_law_witnesses(bed))
+        bed.__dict__["_violations"] = found
+    return list(found)
+
+
+def _bed_law_witnesses(bed):
     fr = bed.frame
     out = []
     if bed.box[fr.top] != fr.top:
@@ -321,10 +333,21 @@ def _enumerate_flowers(g):
     return flowers, by_root
 
 
-def _region(g, fl):
-    """Roots this flower can step to: covered by the bloom generator but
-    not by the stalk."""
-    return g.alpha(fl.bloom.generator) - g.alpha(fl.stalk)
+def _flower_fault(g, root, stalk, gen):
+    """'stalk' unless stalk is in pdd(root), else 'bloom' unless gen is
+    below pbb(root)'s generator, else None: the flower condition."""
+    pf = point_filters(g, root)
+    if stalk not in pf["pdd"]:
+        return "stalk"
+    if not g.bed.frame.le(gen, pf["pbb"].generator):
+        return "bloom"
+    return None
+
+
+def _region(g, stalk, gen):
+    """Roots a flower with this stalk and bloom generator can step to:
+    covered by the generator but not by the stalk."""
+    return g.alpha(gen) - g.alpha(stalk)
 
 
 def flower_structure(g):
@@ -340,7 +363,7 @@ def flower_structure(g):
         key = (fl.stalk, fl.bloom.generator)
         s = pattern.get(key)
         if s is None:
-            s = frozenset(x for q in _region(g, fl) for x in by_root[q])
+            s = frozenset(x for q in _region(g, *key) for x in by_root[q])
             pattern[key] = s
         succ[fl] = s
     return {"flowers": frozenset(flowers), "edges": succ}
@@ -351,17 +374,23 @@ def healthy_witness(g, flowers):
 
     The set is healthy when each member can escape every element outside
     its bloom and reach every element above its stalk through a
-    transition that stays inside the set.
+    transition that stays inside the set.  Harvest checks its survivors
+    with this plain definition.
     """
     fr = g.bed.frame
     roots = frozenset(fl.root for fl in flowers)
+    passed = set()  # a member's health depends on its stalk and bloom only
     for fl in sorted(flowers, key=repr):
-        W = _region(g, fl) & roots
+        a, c = fl.stalk, fl.bloom.generator
+        if (a, c) in passed:
+            continue
+        W = _region(g, a, c) & roots
         for x in fr.elements:
-            if not fr.le(fl.bloom.generator, x) and W <= g.alpha(x):
+            if not fr.le(c, x) and W <= g.alpha(x):
                 return (fl, x, "no transition escapes it")
-            if not fr.le(x, fl.stalk) and not (g.alpha(x) & W):
+            if not fr.le(x, a) and not (g.alpha(x) & W):
                 return (fl, x, "no transition reaches it")
+        passed.add((a, c))
     return None
 
 
@@ -374,8 +403,9 @@ def harvest(g):
     target's nabla contains it.  Both conditions only depend on which
     roots still carry survivors, so the worklist reruns a flower's check
     only when a root it can reach loses its last survivor.  The result
-    is order-independent.  Survivors are re-checked against the plain
-    definition before the plot is assembled.
+    is order-independent.  The survivors are checked once against the
+    plain definition, healthy_witness, before the plot is assembled; a
+    witness raises PostconditionFailure.  Cached once per garden.
     """
     cached = g.__dict__.get("_harvest")
     if cached is not None:
@@ -386,7 +416,7 @@ def harvest(g):
     for fl in flowers:
         key = (fl.stalk, fl.bloom.generator)
         if key not in regions:
-            regions[key] = _region(g, fl)
+            regions[key] = _region(g, *key)
     watching = {p: [] for p in g.space.points}
     for fl in flowers:
         for p in regions[(fl.stalk, fl.bloom.generator)]:
@@ -426,24 +456,17 @@ def harvest(g):
                     queued.add(other)
 
     survivors = [fl for fl in flowers if fl not in removed]
-    final_roots = frozenset(live_roots)
-    for fl in survivors:
-        W = regions[(fl.stalk, fl.bloom.generator)] & final_roots
-        c, a = fl.bloom.generator, fl.stalk
-        for x in fr.elements:
-            if not fr.le(c, x) and W <= g.alpha(x):
-                raise PostconditionFailure(
-                    "survivor %r has no escape from %r" % (fl, x))
-            if not fr.le(x, a) and not (g.alpha(x) & W):
-                raise PostconditionFailure(
-                    "survivor %r cannot reach %r" % (fl, x))
+    bad = healthy_witness(g, survivors)
+    if bad is not None:
+        raise PostconditionFailure("survivor %r at %r: %s" % bad)
 
+    # a root without survivors has an empty live set, so it adds nothing
     succ_of_pattern = {}
     for fl in survivors:
         key = (fl.stalk, fl.bloom.generator)
         if key not in succ_of_pattern:
             succ_of_pattern[key] = frozenset(
-                x for q in regions[key] & final_roots for x in live_by_root[q])
+                x for q in regions[key] for x in live_by_root[q])
     structure = TransitionStructure(
         survivors,
         succ={fl: succ_of_pattern[(fl.stalk, fl.bloom.generator)]
@@ -491,10 +514,7 @@ def functor_F_report(gm):
             image_pattern[key] = got
         a2, c2 = got
         img = Flower(phi(fl.root), a2, Filter(frX, c2))
-        pf = point_filters(X, img.root)
-        if flower_fail is None and (
-                img.stalk not in pf["pdd"]
-                or not frX.le(c2, pf["pbb"].generator)):
+        if flower_fail is None and _flower_fault(X, img.root, a2, c2):
             flower_fail = img
         if pruned is None and img not in tgt_nodes:
             pruned = img
@@ -505,8 +525,8 @@ def functor_F_report(gm):
     preserved = True
     rooted = src_plot.space.full - src_plot.unrooted_points
     for (a, c), (a2, c2) in sorted(image_pattern.items()):
-        target_region = X.alpha(c2) - X.alpha(a2)
-        for q in sorted((Y.alpha(c) - Y.alpha(a)) & rooted, key=str):
+        target_region = _region(X, a2, c2)
+        for q in sorted(_region(Y, a, c) & rooted, key=str):
             if phi(q) not in target_region:
                 preserved = False
                 record("LAW.240H", False, (a, q))
@@ -544,27 +564,32 @@ def functor_F_arrow(gm):
     return result
 
 
+def _lift_violations(lifted):
+    """The bed-law verdict of a lifted bed, plus the empty-diamond law,
+    which applies exactly when the valuation is surjective."""
+    violations = bed_violations(lifted.bed)
+    empty = set_name(frozenset())
+    if lifted.surjective and lifted.diamond_sigma[empty] != empty:
+        violations.append(("diamond-empty", lifted.diamond_sigma[empty]))
+    return violations
+
+
 def lift_report(plot):
     """Law records for a plot's lifted operators.
 
-    Re-checks that the lifted tables satisfy the bed laws on the
-    topology frame (the empty-diamond law applies exactly when the
-    valuation is surjective) and that the valuation preimage is lax
-    over both operators, re-derived at node level rather than through
-    the point caches the lift itself uses.
+    LAW.220G reads the bed-law verdict that lift_operators computed on
+    the same lifted bed.  LAW.220J checks that the valuation preimage is
+    lax over both operators, re-derived at node level rather than
+    through the point caches the lift itself uses.
     """
     from .plot import _successor_images, lift_operators
 
     lifted = lift_operators(plot)
     frame = lifted.frame
-    bed = Bed(frame, lifted.box_sigma, lifted.diamond_sigma)
-    violations = bed_violations(bed)
-    empty = set_name(frozenset())
+    bed = lifted.bed
+    violations = _lift_violations(lifted)
     note = None
-    if plot.surjective:
-        if bed.diamond[empty] != empty:
-            violations.append(("diamond-empty", bed.diamond[empty]))
-    elif plot.unrooted_points:
+    if plot.unrooted_points:
         note = ("diamond-empty not required; unrooted points %s"
                 % sorted(map(str, plot.unrooted_points)))
     records = [{"id": "LAW.220G", "passed": not violations,

@@ -7,7 +7,7 @@ same seed on every run.
 
 import random
 
-from .garden import (Bed, compose_garden_morphisms, functor_F_arrow,
+from .garden import (compose_garden_morphisms, functor_F_arrow,
                      identity_garden_morphism, validate_garden)
 from .plot import (Plot, PlotMap, classify_plot_map, functor_G_arrow,
                    functor_G_object, identity_plot_map, lift_operators,
@@ -150,8 +150,7 @@ def random_garden(rng, profile=None):
     if rng.random() < 0.5:
         return functor_G_object(random_plot(rng, profile))
     base = random_plot(rng, profile)
-    lifted = lift_operators(base)
-    bed = Bed(lifted.frame, lifted.box_sigma, lifted.diamond_sigma)
+    bed = lift_operators(base).bed
     fresh = ["q%d" % i for i in
              range(rng.randint(profile.min_points, profile.max_points))]
     base_points = sorted(base.space.points)

@@ -4,8 +4,8 @@ A plot values the nodes of a transition structure in a finite space
 through a surjective map sigma.  Lifting pushes the structure's box and
 diamond through sigma onto the open sets: the lift of an open U is the
 largest open whose sigma-preimage lands inside the operator applied to
-sigma^-1(U).  The lifted pair always satisfies the bed laws, which this
-module re-verifies on every construction.
+sigma^-1(U).  The lifted pair always satisfies the bed laws, which are
+checked once per lifted bed.
 """
 
 from .lattice import FrameMorphism
@@ -231,12 +231,14 @@ def classify_plot_map(m):
 
 
 class LiftedBed:
-    """The topology of a plot's space furnished with the lifted operators."""
+    """The topology of a plot's space furnished with the lifted operators,
+    held in bed, whose tables box_sigma and diamond_sigma share."""
 
-    def __init__(self, frame, box_sigma, diamond_sigma, space, surjective):
-        self.frame = frame
-        self.box_sigma = box_sigma          # open name -> open name
-        self.diamond_sigma = diamond_sigma
+    def __init__(self, bed, space, surjective):
+        self.bed = bed
+        self.frame = bed.frame
+        self.box_sigma = bed.box            # open name -> open name
+        self.diamond_sigma = bed.diamond
         self.space = space
         self.surjective = surjective
 
@@ -245,14 +247,18 @@ def lift_operators(plot):
     """Lift the structure's box/diamond through the valuation onto opens.
 
     The lift of U under box is the union of the opens V with
-    sigma^-1(V) inside box(sigma^-1(U)); likewise for diamond.  The
-    defining biconditional is re-verified for every open pair, the bed
-    laws are asserted, and the valuation preimage is checked to be lax
-    over both operators.  Any failure raises PostconditionFailure.
+    sigma^-1(V) inside box(sigma^-1(U)); likewise for diamond.  Checked
+    here: the defining biconditional for every open pair, the lift
+    recomputed node by node on small instances, and the bed laws (plus
+    the empty-diamond law for a surjective valuation) through
+    garden.bed_violations, whose verdict is cached on the lifted bed
+    that lift_report and functor_G_object read again.  Any failure
+    raises PostconditionFailure.
 
     Lifted once per plot and shared: every later call returns the same
     LiftedBed, whose tables callers must not mutate.
     """
+    from . import garden as garden_mod
     cached = plot.__dict__.get("_lift")
     if cached is not None:
         return cached
@@ -292,34 +298,16 @@ def lift_operators(plot):
             if (V <= eligible_diamond[U]) != (V <= diaU):
                 fail("diamond biconditional fails at U=%s V=%s"
                      % (name[U], name[V]))
-        # the preimage of the lifted value must itself be eligible (laxity)
-        if not boxU <= eligible_box[U]:
-            fail("preimage not lax over box at %s" % name[U])
-        if not diaU <= eligible_diamond[U]:
-            fail("preimage not lax over diamond at %s" % name[U])
 
     if len(st.nodes) <= 64 and len(opens) <= 64:
         _recheck_lift_nodewise(plot, box, diamond, fail)
 
-    if box[space.full] != space.full:
-        fail("box does not preserve the top open")
-    empty = frozenset()
-    if plot.surjective and diamond[empty] != empty:
-        fail("diamond of the empty open is not empty")
-    for U in opens:
-        for V in opens:
-            meet = U & V
-            if box[meet] != box[U] & box[V]:
-                fail("box does not preserve the meet of %s and %s"
-                     % (name[U], name[V]))
-            if U <= V and not diamond[U] <= diamond[V]:
-                fail("diamond not monotone on %s <= %s" % (name[U], name[V]))
-            if not box[U] & diamond[V] <= diamond[meet]:
-                fail("mixed law fails on %s, %s" % (name[U], name[V]))
-
-    lifted = LiftedBed(frame, {name[U]: name[box[U]] for U in opens},
-                       {name[U]: name[diamond[U]] for U in opens},
-                       space, plot.surjective)
+    bed = garden_mod.Bed(frame, {name[U]: name[box[U]] for U in opens},
+                         {name[U]: name[diamond[U]] for U in opens})
+    lifted = LiftedBed(bed, space, plot.surjective)
+    broken = garden_mod._lift_violations(lifted)
+    if broken:
+        fail("%s: %s" % broken[0])
     plot.__dict__["_lift"] = lifted
     return lifted
 
@@ -348,10 +336,8 @@ def functor_G_object(plot):
     if cached is not None:
         return cached
     lifted = lift_operators(plot)
-    bed = garden_mod.Bed(lifted.frame, dict(lifted.box_sigma),
-                         dict(lifted.diamond_sigma))
     covering = {name: lifted.frame.set_of(name) for name in lifted.frame.elements}
-    result = garden_mod.validate_garden(bed, plot.space, covering)
+    result = garden_mod.validate_garden(lifted.bed, plot.space, covering)
     plot.__dict__["_garden_of"] = result
     return result
 

@@ -49,40 +49,18 @@ class TransitionStructure:
 class Operators:
     """The box/diamond pair of a structure, as subset-to-subset maps."""
 
-    def __init__(self, structure, materialize_limit=10):
+    def __init__(self, structure):
         self.structure = structure
-        self.box_table = None
-        self.diamond_table = None
-        if len(structure.nodes) <= materialize_limit:
-            self.box_table = {}
-            self.diamond_table = {}
-            full = frozenset(structure.nodes)
-            for E in powerset(structure.nodes):
-                self.box_table[E] = self._box(E)
-                self.diamond_table[E] = self._diamond(E)
-            for E in self.box_table:
-                # duality: diamond(E) is the complement of box(complement E)
-                assert self.diamond_table[E] == full - self.box_table[full - E]
 
-    def _box(self, E):
+    def box(self, E):
         E = frozenset(E)
         return frozenset(n for n in self.structure.nodes
                          if self.structure.succ[n] <= E)
 
-    def _diamond(self, E):
+    def diamond(self, E):
         E = frozenset(E)
         return frozenset(n for n in self.structure.nodes
                          if self.structure.succ[n] & E)
-
-    def box(self, E):
-        if self.box_table is not None:
-            return self.box_table[frozenset(E)]
-        return self._box(E)
-
-    def diamond(self, E):
-        if self.diamond_table is not None:
-            return self.diamond_table[frozenset(E)]
-        return self._diamond(E)
 
 
 def powerset(items):
@@ -93,11 +71,7 @@ def powerset(items):
 
 
 def powerset_operators(structure):
-    """box(E) = {n : succ(n) subset of E}, diamond(E) = {n : succ(n) meets E}.
-
-    Tables over the full powerset are materialized only for structures of
-    at most ten nodes; larger ones are evaluated on demand.
-    """
+    """box(E) = {n : succ(n) subset of E}, diamond(E) = {n : succ(n) meets E}."""
     return Operators(structure)
 
 
@@ -195,9 +169,9 @@ def characterize_operators(structure, box, diamond):
     relation = frozenset((p, q) for p in nodes for q in nodes
                          if p in diamond(frozenset([q])))
     rebuilt = TransitionStructure(nodes, edges=relation)
-    ops = Operators(rebuilt, materialize_limit=0)
+    ops = Operators(rebuilt)
     for E in subsets:
-        if ops._box(E) != box(E) or ops._diamond(E) != diamond(E):
+        if ops.box(E) != box(E) or ops.diamond(E) != diamond(E):
             report["reconstructed_relation_matches"] = False
             report["witnesses"]["regeneration"] = sorted(E, key=str)
             break
