@@ -10,7 +10,7 @@ brute-force oracles on top.
 
 from .lattice import (Filter, FiniteFrame, FrameMorphism,
                       check_frame_morphism, enumerate_filters, filter_images,
-                      frame_morphism, right_adjoint, validate_frame)
+                      right_adjoint, validate_frame)
 from .topology import (ContinuousMap, FiniteSpace, TopologyFrame,
                        continuity_witness, open_frame, set_name,
                        spatial_closures, topology_frame, validate_space)

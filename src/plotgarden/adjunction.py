@@ -297,18 +297,21 @@ def _verify_garden(g):
     fr = g.bed.frame
     alpha_star = right_adjoint(g.covering)
 
+    # bloom generator -> its direct image and that image's inverse image,
+    # pushed once for both LAW.250J and LAW.250K
+    images = {}
+    for fl in flowers:
+        if fl.bloom.generator not in images:
+            pushed = filter_images(g.covering, fl.bloom, "direct")
+            images[fl.bloom.generator] = (
+                pushed, filter_images(g.covering, pushed, "inverse").generator)
+
     fixed = True
     wit = None
-    direct_memo = {}
     for fl in flowers:
         j = alpha_star[g.covering(fl.stalk)]
         gen = fl.bloom.generator
-        moved = direct_memo.get(gen)
-        if moved is None:
-            pushed = filter_images(g.covering, fl.bloom, "direct")
-            moved = filter_images(g.covering, pushed, "inverse").generator
-            direct_memo[gen] = moved
-        if j != fl.stalk or moved != gen:
+        if j != fl.stalk or images[gen][1] != gen:
             fixed, wit = False, fl
             break
     records.append(_record("LAW.250J", fixed, wit))
@@ -322,14 +325,9 @@ def _verify_garden(g):
             return records
         formula = True
         wit = None
-        push_memo = {}
         for fl in flowers:
-            gen = fl.bloom.generator
-            pushed = push_memo.get(gen)
-            if pushed is None:
-                pushed = filter_images(g.covering, fl.bloom, "direct")
-                push_memo[gen] = pushed
-            expected = Flower(fl.root, g.covering(fl.stalk), pushed)
+            expected = Flower(fl.root, g.covering(fl.stalk),
+                              images[fl.bloom.generator][0])
             if eta_unit.node_map.mapping[fl] != expected:
                 formula, wit = False, fl
                 break

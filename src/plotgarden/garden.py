@@ -35,10 +35,6 @@ class CoveringNotSurjective(GardenError):
     pass
 
 
-class SizeLimit(GardenError):
-    pass
-
-
 class Bed:
     """A finite frame with box and diamond element maps, fixed once built."""
 
@@ -128,20 +124,12 @@ class Garden:
             len(self.bed.frame), len(self.space.points))
 
 
-def validate_garden(bed, space, covering, max_elements=None, max_points=None):
+def validate_garden(bed, space, covering):
     """Check the bed axioms and the covering, then assemble a Garden.
 
     covering maps each bed element to an open set of points.  No size is
-    limited by default, so every garden the library builds also loads
-    back; a caller that passes max_elements or max_points gets SizeLimit
-    for an instance beyond it.
+    limited, so every garden the library builds also loads back.
     """
-    if max_elements is not None and len(bed.frame) > max_elements:
-        raise SizeLimit("%d elements exceeds the limit of %d"
-                        % (len(bed.frame), max_elements))
-    if max_points is not None and len(space.points) > max_points:
-        raise SizeLimit("%d points exceeds the limit of %d"
-                        % (len(space.points), max_points))
     broken = bed_violations(bed)
     if broken:
         raise BedAxiomViolation(*broken[0])

@@ -86,19 +86,12 @@ def parse_profile(text):
 
 def _close_topology(points, subbasis):
     """All unions of finite intersections of the subbasis, plus 0 and 1."""
-    full = frozenset(points)
-    basis = {full} | {frozenset(s) for s in subbasis}
-    while True:
-        fresh = {a & b for a in basis for b in basis} - basis
-        if not fresh:
-            break
-        basis |= fresh
-    opens = {frozenset()} | basis
-    while True:
-        fresh = {a | b for a in opens for b in opens} - opens
-        if not fresh:
-            break
-        opens |= fresh
+    basis = {frozenset(points)}
+    for s in subbasis:
+        basis |= {frozenset(s) & b for b in basis}
+    opens = {frozenset()}
+    for b in basis:
+        opens |= {o | b for o in opens}
     return opens
 
 
@@ -368,13 +361,17 @@ def _candidates(kind, obj):
     return iter(())
 
 
-def shrink_instance(kind, obj, still_fails, rounds=40):
-    """Greedily drop parts while the failure persists.
+_SHRINK_ROUNDS = 40
+
+
+def shrink_instance(kind, obj, still_fails):
+    """Greedily drop parts while the failure persists, for at most
+    _SHRINK_ROUNDS accepted candidates.
 
     A candidate that cannot be built, or on which still_fails raises
     rather than answering, is skipped.
     """
-    for _ in range(rounds):
+    for _ in range(_SHRINK_ROUNDS):
         for make in _candidates(kind, obj):
             try:
                 candidate = make()

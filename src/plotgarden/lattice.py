@@ -207,14 +207,6 @@ def check_frame_morphism(mapping, source, target):
     }
 
 
-def frame_morphism(source, target, mapping):
-    """Build a FrameMorphism, insisting that it really is one."""
-    report = check_frame_morphism(mapping, source, target)
-    if not report["is_frame_morphism"]:
-        raise LatticeError("not a frame morphism: %r" % (report["violations"][0],))
-    return FrameMorphism(source, target, mapping)
-
-
 def right_adjoint(f):
     """The right adjoint f_* of a frame morphism f, as a target -> source map.
 

@@ -330,14 +330,22 @@ def _recheck_lift_nodewise(plot, box, diamond, fail):
 
 def functor_G_object(plot):
     """The garden of a plot: its topology under the lifted operators,
-    covered by the identity frame morphism."""
+    covered by the identity frame morphism.
+
+    Built directly, not through validate_garden: lift_operators has
+    already raised on the lifted bed's law verdict, every covering value
+    is one of the frame's own opens, and the identity of a frame is a
+    surjective frame morphism.
+    """
     from . import garden as garden_mod
     cached = plot.__dict__.get("_garden_of")
     if cached is not None:
         return cached
     lifted = lift_operators(plot)
-    covering = {name: lifted.frame.set_of(name) for name in lifted.frame.elements}
-    result = garden_mod.validate_garden(lifted.bed, plot.space, covering)
+    frame = lifted.frame
+    identity = FrameMorphism(frame, frame, {x: x for x in frame.elements})
+    result = garden_mod.Garden(lifted.bed, plot.space, identity,
+                               frame.open_sets, frame)
     plot.__dict__["_garden_of"] = result
     return result
 

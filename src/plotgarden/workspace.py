@@ -2,10 +2,12 @@
 
 A workspace holds spaces, transition structures, frames, beds, plots,
 gardens, and maps, each under a name that is unique across the whole
-file.  Sets are sorted string arrays, binary tables are arrays of
-2-element arrays, covering tables pair an element with an array of
-points.  Serialization sorts keys and arrays, so a file survives a
-parse/serialize round trip byte for byte.
+file.  Every name is a JSON string.  Sets are sorted arrays of names,
+binary tables are arrays of 2-element arrays, covering tables pair an
+element with an array of points, and a table names each element of its
+domain exactly once.  Serialization sorts keys and arrays.  Each
+entry's written form is built by one function from the parsed object,
+so written text parses back and is written again unchanged.
 """
 
 import json
@@ -69,16 +71,58 @@ class Workspace:
         return sorted(n for c in CATEGORIES for n in self.categories[c])
 
 
-def _pairs(raw, what, name):
-    out = []
+def _name(value, what, owner):
+    if not isinstance(value, str):
+        raise ValidationError("names in %s of %r must be strings, not %s"
+                              % (what, owner, json.dumps(value)))
+    return value
+
+
+def _names(raw, what, owner, item=_name):
+    """A JSON array whose items pass item: names by default."""
     if not isinstance(raw, list):
-        raise ValidationError("%s of %r must be an array" % (what, name))
-    for item in raw:
+        raise ValidationError("%s of %r must be an array, not %s"
+                              % (what, owner, json.dumps(raw)))
+    return [item(x, what, owner) for x in raw]
+
+
+def _pairs(raw, what, owner, second=_name):
+    """An array of 2-element arrays: a name, then a name by default."""
+    def pair(item, *_):
         if not isinstance(item, list) or len(item) != 2:
             raise ValidationError(
-                "%s of %r must hold 2-element arrays" % (what, name))
-        out.append((item[0], item[1]))
-    return out
+                "%s of %r must hold 2-element arrays" % (what, owner))
+        return _name(item[0], what, owner), second(item[1], what, owner)
+    return _names(raw, what, owner, pair)
+
+
+def _table(entry, what, owner, domain, value=_name):
+    """The table entry[what], which names each element of domain once."""
+    table = {}
+    for key, val in _pairs(entry[what], what, owner, value):
+        if key in table:
+            raise ValidationError("%s of %r names %r twice"
+                                  % (what, owner, key))
+        table[key] = val
+    for x in domain:
+        if x not in table:
+            raise ValidationError("%s of %r misses %r" % (what, owner, x))
+    if len(table) != len(domain):
+        extra = sorted(set(table) - set(domain))[0]
+        raise ValidationError("%s of %r names unknown %r"
+                              % (what, owner, extra))
+    return table
+
+
+def _mapping(entry, what, owner, domain, codomain):
+    """A table from domain into codomain, for maps that do not check
+    their own range."""
+    table = _table(entry, what, owner, domain)
+    for x in domain:
+        if table[x] not in codomain:
+            raise ValidationError("%s of %r sends %r outside the target"
+                                  % (what, owner, x))
+    return table
 
 
 def _require(entry, name, *fields):
@@ -89,7 +133,8 @@ def _require(entry, name, *fields):
             raise ValidationError("entry %r is missing %r" % (name, f))
 
 
-def _ref(ws, category, name, owner):
+def _ref(ws, category, entry, field, owner):
+    name = _name(entry[field], field, owner)
     table = ws.categories[category]
     if name not in table:
         raise UnresolvedReference(
@@ -134,85 +179,52 @@ def parse_workspace(text):
 
 def _load_space(ws, name, entry):
     _require(entry, name, "points", "opens")
-    opens = [frozenset(o) for o in entry["opens"]]
-    space = validate_space(entry["points"], opens)
-    canon = {"points": sorted(map(str, space.points)),
-             "opens": sorted(sorted(map(str, o)) for o in space.opens)}
-    return space, canon
+    space = validate_space(
+        _names(entry["points"], "points", name),
+        [frozenset(o) for o in _names(entry["opens"], "opens", name, _names)])
+    return space, _space_entry(space)
 
 
 def _load_structure(ws, name, entry):
     _require(entry, name, "nodes", "edges")
-    st = TransitionStructure(entry["nodes"],
+    st = TransitionStructure(_names(entry["nodes"], "nodes", name),
                              edges=_pairs(entry["edges"], "edges", name))
-    canon = {"nodes": sorted(map(str, st.nodes)),
-             "edges": sorted([a, b] for a, b in st.edges)}
-    return st, canon
+    return st, _structure_entry(st)
 
 
 def _load_frame(ws, name, entry):
     _require(entry, name, "elements", "leq")
-    frame = validate_frame(entry["elements"],
+    frame = validate_frame(_names(entry["elements"], "elements", name),
                            _pairs(entry["leq"], "leq", name))
     return frame, _frame_entry(frame)
 
 
 def _load_bed(ws, name, entry):
     _require(entry, name, "frame", "box", "diamond")
-    frame = _ref(ws, "frames", entry["frame"], name)
-    bed = Bed(frame, dict(_pairs(entry["box"], "box", name)),
-              dict(_pairs(entry["diamond"], "diamond", name)))
-    canon = {"frame": entry["frame"],
-             "box": sorted([x, bed.box[x]] for x in frame.elements),
-             "diamond": sorted([x, bed.diamond[x]] for x in frame.elements)}
-    return bed, canon
+    frame = _ref(ws, "frames", entry, "frame", name)
+    bed = Bed(frame, _table(entry, "box", name, frame.elements),
+              _table(entry, "diamond", name, frame.elements))
+    return bed, _bed_entry(bed, entry["frame"])
 
 
 def _load_plot(ws, name, entry):
     _require(entry, name, "structure", "space", "valuation")
-    st = _ref(ws, "structures", entry["structure"], name)
-    space = _ref(ws, "spaces", entry["space"], name)
-    valuation = dict(_pairs(entry["valuation"], "valuation", name))
-    if entry.get("unrooted"):
-        # harvests may miss points; such plots are admitted when marked
-        plot = Plot(st, space, valuation, _allow_unrooted=True)
-    else:
-        plot = validate_plot(st, space, valuation)
-    canon = {"structure": entry["structure"], "space": entry["space"],
-             "valuation": sorted([str(n), str(p)]
-                                 for n, p in plot.valuation.items())}
-    if entry.get("unrooted"):
-        canon["unrooted"] = True
-    return plot, canon
+    st = _ref(ws, "structures", entry, "structure", name)
+    space = _ref(ws, "spaces", entry, "space", name)
+    valuation = _table(entry, "valuation", name, st.nodes)
+    # harvests may miss points; such plots are admitted when marked
+    plot = Plot(st, space, valuation,
+                _allow_unrooted=bool(entry.get("unrooted")))
+    return plot, _plot_entry(plot, entry["structure"], entry["space"])
 
 
 def _load_garden(ws, name, entry):
     _require(entry, name, "bed", "space", "covering")
-    bed = _ref(ws, "beds", entry["bed"], name)
-    space = _ref(ws, "spaces", entry["space"], name)
-    covering = {}
-    for elem, points in _pairs(entry["covering"], "covering", name):
-        covering[elem] = frozenset(points)
+    bed = _ref(ws, "beds", entry, "bed", name)
+    space = _ref(ws, "spaces", entry, "space", name)
+    covering = _table(entry, "covering", name, bed.frame.elements, _names)
     garden = validate_garden(bed, space, covering)
-    canon = {"bed": entry["bed"], "space": entry["space"],
-             "covering": sorted([x, sorted(map(str, covering[x]))]
-                                for x in covering)}
-    return garden, canon
-
-
-def _point_map(name, src_space, tgt_space, pairs):
-    mapping = dict(pairs)
-    for p in src_space.points:
-        if p not in mapping:
-            raise ValidationError("point_map of %r misses %r" % (name, p))
-    for p, q in mapping.items():
-        if p not in src_space.points:
-            raise ValidationError("point_map of %r names unknown point %r"
-                                  % (name, p))
-        if q not in tgt_space.points:
-            raise ValidationError("point_map of %r sends %r outside the "
-                                  "target space" % (name, p))
-    return ContinuousMap(src_space, tgt_space, mapping)
+    return garden, _garden_entry(garden, entry["bed"], entry["space"])
 
 
 def _load_map(ws, name, entry):
@@ -220,44 +232,27 @@ def _load_map(ws, name, entry):
     kind = entry["kind"]
     if kind == "plot_map":
         _require(entry, name, "node_map")
-        source = _ref(ws, "plots", entry["source"], name)
-        target = _ref(ws, "plots", entry["target"], name)
+        source = _ref(ws, "plots", entry, "source", name)
+        target = _ref(ws, "plots", entry, "target", name)
         nm = NodeMap(source.structure, target.structure,
-                     dict(_pairs(entry["node_map"], "node_map", name)))
-        pm = _point_map(name, source.space, target.space,
-                        _pairs(entry["point_map"], "point_map", name))
-        obj = PlotMap(source, target, nm, pm)
-        canon = {"kind": kind, "source": entry["source"],
-                 "target": entry["target"],
-                 "node_map": sorted([str(a), str(b)]
-                                    for a, b in nm.mapping.items()),
-                 "point_map": sorted([str(a), str(b)]
-                                     for a, b in pm.mapping.items())}
-        return obj, canon
-    if kind == "garden_morphism":
+                     _table(entry, "node_map", name, source.structure.nodes))
+        pm = _mapping(entry, "point_map", name, source.space.points,
+                      target.space.full)
+        obj = PlotMap(source, target, nm,
+                      ContinuousMap(source.space, target.space, pm))
+    elif kind == "garden_morphism":
         _require(entry, name, "frame_map")
-        source = _ref(ws, "gardens", entry["source"], name)
-        target = _ref(ws, "gardens", entry["target"], name)
-        mapping = dict(_pairs(entry["frame_map"], "frame_map", name))
+        source = _ref(ws, "gardens", entry, "source", name)
+        target = _ref(ws, "gardens", entry, "target", name)
         src_fr, tgt_fr = source.bed.frame, target.bed.frame
-        for x in src_fr.elements:
-            if x not in mapping:
-                raise ValidationError("frame_map of %r misses %r" % (name, x))
-            if mapping[x] not in tgt_fr._index:
-                raise ValidationError("frame_map of %r sends %r outside the "
-                                      "target frame" % (name, x))
-        fm = FrameMorphism(src_fr, tgt_fr, mapping)
-        pm = _point_map(name, target.space, source.space,
-                        _pairs(entry["point_map"], "point_map", name))
-        obj = GardenMorphism(source, target, fm, pm)
-        canon = {"kind": kind, "source": entry["source"],
-                 "target": entry["target"],
-                 "frame_map": sorted([str(a), str(b)]
-                                     for a, b in mapping.items()),
-                 "point_map": sorted([str(a), str(b)]
-                                     for a, b in pm.mapping.items())}
-        return obj, canon
-    raise ValidationError("map %r has unknown kind %r" % (name, kind))
+        fm = _mapping(entry, "frame_map", name, src_fr.elements, tgt_fr._index)
+        pm = _mapping(entry, "point_map", name, target.space.points,
+                      source.space.full)
+        obj = GardenMorphism(source, target, FrameMorphism(src_fr, tgt_fr, fm),
+                             ContinuousMap(target.space, source.space, pm))
+    else:
+        raise ValidationError("map %r has unknown kind %r" % (name, kind))
+    return obj, _map_entry(obj, entry["source"], entry["target"])
 
 
 _LOADERS = {
@@ -276,7 +271,12 @@ def serialize_workspace(ws):
 
 
 # ---------------------------------------------------------------------------
-# Entry builders, used to persist generated instances.
+# Entry builders: the one written form of each category, derived from the
+# object and the names of the entries it refers to.
+
+def _sorted_pairs(pairs):
+    return sorted([str(a), str(b)] for a, b in pairs)
+
 
 def _space_entry(space):
     return {"points": sorted(map(str, space.points)),
@@ -285,14 +285,51 @@ def _space_entry(space):
 
 def _structure_entry(st):
     return {"nodes": [str(n) for n in st.nodes],
-            "edges": sorted([str(a), str(b)] for a, b in st.edges)}
+            "edges": _sorted_pairs(st.edges)}
 
 
 def _frame_entry(frame):
-    els = [str(e) for e in frame.elements]
-    leq = sorted([str(a), str(b)] for a in frame.elements
-                 for b in frame.up(a))
-    return {"elements": els, "leq": leq}
+    return {"elements": [str(e) for e in frame.elements],
+            "leq": _sorted_pairs((a, b) for a in frame.elements
+                                 for b in frame.up(a))}
+
+
+def _bed_entry(bed, frame):
+    elems = bed.frame.elements
+    return {"frame": frame,
+            "box": _sorted_pairs((x, bed.box[x]) for x in elems),
+            "diamond": _sorted_pairs((x, bed.diamond[x]) for x in elems)}
+
+
+def _plot_entry(plot, structure, space):
+    entry = {"structure": structure, "space": space,
+             "valuation": _sorted_pairs((n, plot.valuation[n])
+                                        for n in plot.structure.nodes)}
+    if not plot.surjective:
+        entry["unrooted"] = True
+    return entry
+
+
+def _garden_entry(g, bed, space):
+    return {"bed": bed, "space": space,
+            "covering": sorted([str(x), sorted(map(str, g.alpha(x)))]
+                               for x in g.bed.frame.elements)}
+
+
+def _map_entry(m, source, target):
+    pm = m.point_map
+    entry = {"source": source, "target": target,
+             "point_map": _sorted_pairs((p, pm(p)) for p in pm.source.points)}
+    if isinstance(m, PlotMap):
+        nm = m.node_map
+        entry["kind"] = "plot_map"
+        entry["node_map"] = _sorted_pairs((n, nm(n)) for n in nm.source.nodes)
+    else:
+        fm = m.frame_map
+        entry["kind"] = "garden_morphism"
+        entry["frame_map"] = _sorted_pairs((x, fm(x))
+                                           for x in fm.source.elements)
+    return entry
 
 
 def instance_workspace(kind, obj, name="cex"):
@@ -305,52 +342,25 @@ def instance_workspace(kind, obj, name="cex"):
     def put_plot(plot, plot_name):
         put("spaces", plot_name + "_space", _space_entry(plot.space))
         put("structures", plot_name + "_nodes", _structure_entry(plot.structure))
-        entry = {
-            "structure": plot_name + "_nodes", "space": plot_name + "_space",
-            "valuation": sorted([str(n), str(p)]
-                                for n, p in plot.valuation.items())}
-        if not plot.surjective:
-            entry["unrooted"] = True
-        put("plots", plot_name, entry)
+        put("plots", plot_name, _plot_entry(plot, plot_name + "_nodes",
+                                            plot_name + "_space"))
 
     def put_garden(g, g_name):
         put("spaces", g_name + "_space", _space_entry(g.space))
         put("frames", g_name + "_frame", _frame_entry(g.bed.frame))
-        put("beds", g_name + "_bed", {
-            "frame": g_name + "_frame",
-            "box": sorted([str(x), str(g.bed.box[x])]
-                          for x in g.bed.frame.elements),
-            "diamond": sorted([str(x), str(g.bed.diamond[x])]
-                              for x in g.bed.frame.elements)})
-        put("gardens", g_name, {
-            "bed": g_name + "_bed", "space": g_name + "_space",
-            "covering": sorted([str(x), sorted(map(str, g.alpha(x)))]
-                               for x in g.bed.frame.elements)})
+        put("beds", g_name + "_bed", _bed_entry(g.bed, g_name + "_frame"))
+        put("gardens", g_name, _garden_entry(g, g_name + "_bed",
+                                             g_name + "_space"))
 
     if kind == "plot":
         put_plot(obj, name)
     elif kind == "garden":
         put_garden(obj, name)
-    elif kind == "plot_map":
-        put_plot(obj.source, name + "_src")
-        put_plot(obj.target, name + "_tgt")
-        put("maps", name, {
-            "kind": "plot_map", "source": name + "_src",
-            "target": name + "_tgt",
-            "node_map": sorted([str(a), str(b)]
-                               for a, b in obj.node_map.mapping.items()),
-            "point_map": sorted([str(a), str(b)]
-                                for a, b in obj.point_map.mapping.items())})
-    elif kind == "garden_morphism":
-        put_garden(obj.source, name + "_src")
-        put_garden(obj.target, name + "_tgt")
-        put("maps", name, {
-            "kind": "garden_morphism", "source": name + "_src",
-            "target": name + "_tgt",
-            "frame_map": sorted([str(a), str(b)]
-                                for a, b in obj.frame_map.mapping.items()),
-            "point_map": sorted([str(a), str(b)]
-                                for a, b in obj.point_map.mapping.items())})
+    elif kind in ("plot_map", "garden_morphism"):
+        put_part = put_plot if kind == "plot_map" else put_garden
+        put_part(obj.source, name + "_src")
+        put_part(obj.target, name + "_tgt")
+        put("maps", name, _map_entry(obj, name + "_src", name + "_tgt"))
     else:
         raise ValueError("unknown instance kind %r" % (kind,))
     return raw

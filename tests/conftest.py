@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from plotgarden import (ContinuousMap, NodeMap, Plot, PlotMap,
@@ -16,6 +19,19 @@ def build_map(source, target, node_map, point_map):
     return PlotMap(source, target,
                    NodeMap(source.structure, target.structure, node_map),
                    ContinuousMap(source.space, target.space, point_map))
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures.ws"
+
+
+def fixture_with(path, value):
+    """The fixture workspace's text with the value at path replaced."""
+    raw = json.loads(FIXTURES.read_text())
+    holder = raw
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return json.dumps(raw)
 
 
 @pytest.fixture

@@ -2,10 +2,13 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 import plotgarden.cli as cli
 from plotgarden.cli import run_cli
 from plotgarden.generators import Profile, random_plot
 from plotgarden.workspace import instance_workspace, parse_workspace
+from conftest import fixture_with
 
 FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures.ws")
 
@@ -187,3 +190,58 @@ def test_oracle_counterexample_keeps_the_law_asked_about(tmp_path,
     assert run_cli(["oracle", "LAW.250L", target,
                     "--report", str(tmp_path / "run.json")]) == 1
     assert 4 <= shrunk_size(tmp_path) < len(plot.structure.nodes)
+
+
+SIERP_BOX = [["{P,Q}", "{P,Q}"], ["{Q}", "{P,Q}"], ["{}", "{Q}"]]
+SIERP_COVERING = [["{P,Q}", ["P", "Q"]], ["{Q}", ["Q"]], ["{}", []]]
+
+# Each edit of the fixture file makes invalid input, so validate must exit
+# 2 with one error line, whatever the defect, and never crash.
+INVALID_EDITS = {
+    "numeric names": (
+        ("structures", "st"), {"nodes": [1, 2], "edges": [[1, 2]]},
+        "names in nodes of 'st' must be strings, not 1"),
+    "list as a name": (
+        ("plots", "sierp", "valuation"), [[["P"], "P"], ["Q", "Q"]],
+        'names in valuation of \'sierp\' must be strings, not ["P"]'),
+    "object as a reference": (
+        ("plots", "sierp", "structure"), {"x": 1},
+        'names in structure of \'sierp\' must be strings, not {"x": 1}'),
+    "string as a name array": (
+        ("spaces", "sierp_space", "opens"), ["", "Q", "PQ"],
+        'opens of \'sierp_space\' must be an array, not ""'),
+    "extra valuation key": (
+        ("plots", "sierp", "valuation"), [["P", "P"], ["Q", "Q"], ["R", "Q"]],
+        "valuation of 'sierp' names unknown 'R'"),
+    "extra box key": (
+        ("beds", "sierp_bed", "box"), SIERP_BOX + [["{P}", "{P,Q}"]],
+        "box of 'sierp_bed' names unknown '{P}'"),
+    "extra covering key": (
+        ("gardens", "sierp_garden", "covering"),
+        SIERP_COVERING + [["{P}", []]],
+        "covering of 'sierp_garden' names unknown '{P}'"),
+    "extra node_map key": (
+        ("maps", "tight", "node_map"), [["P", "Q"], ["X", "R"]],
+        "node_map of 'tight' names unknown 'X'"),
+    "repeated box key": (
+        ("beds", "sierp_bed", "box"), SIERP_BOX + [["{}", "{}"]],
+        "box of 'sierp_bed' names '{}' twice"),
+    "missing diamond key": (
+        ("beds", "sierp_bed", "diamond"), [["{P,Q}", "{}"], ["{}", "{}"]],
+        "diamond of 'sierp_bed' misses '{Q}'"),
+    "missing point_map key": (
+        ("maps", "tight", "point_map"), [],
+        "point_map of 'tight' misses 's'"),
+    "point_map leaves its target": (
+        ("maps", "tight", "point_map"), [["s", "t"]],
+        "point_map of 'tight' sends 's' outside the target"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(INVALID_EDITS))
+def test_invalid_workspace_exits_2(label, tmp_path, capsys):
+    path, value, message = INVALID_EDITS[label]
+    ws = tmp_path / "bad.ws"
+    ws.write_text(fixture_with(path, value))
+    assert run_cli(["validate", str(ws)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % (message,)

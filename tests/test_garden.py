@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from plotgarden.garden import (Bed, BedAxiomViolation,
                                CoveringNotFrameMorphism,
-                               CoveringNotSurjective, SizeLimit,
+                               CoveringNotSurjective,
                                bed_violations, check_garden_morphism,
                                compose_garden_morphisms, flower_structure,
                                functor_F_arrow, functor_F_report, harvest,
@@ -57,10 +57,6 @@ def test_validate_garden_rejects_bad_input(sierp_space):
               const_empty(fr))
     with pytest.raises(BedAxiomViolation):
         validate_garden(bad, sierp_space, cover)
-    with pytest.raises(SizeLimit):
-        validate_garden(good, sierp_space, cover, max_elements=2)
-    with pytest.raises(SizeLimit):
-        validate_garden(good, sierp_space, cover, max_points=1)
     with pytest.raises(CoveringNotFrameMorphism):
         validate_garden(good, sierp_space,
                         {"{}": [], "{Q}": ["P"], "{P,Q}": ["P", "Q"]})

@@ -5,12 +5,16 @@ from pathlib import Path
 import pytest
 
 from plotgarden.workspace import (UnresolvedReference, ValidationError,
-                                  WorkspaceSyntaxError, instance_workspace,
-                                  parse_workspace, serialize_workspace)
+                                  WorkspaceError, WorkspaceSyntaxError,
+                                  instance_workspace, parse_workspace,
+                                  serialize_workspace)
 from plotgarden.plot import classify_plot_map, functor_G_object
-from plotgarden.generators import parse_profile, random_plot
-from plotgarden.garden import check_garden_morphism, harvest
+from plotgarden.generators import (generate_instances, parse_profile,
+                                   random_garden, random_plot)
+from plotgarden.garden import (check_garden_morphism, harvest,
+                               identity_garden_morphism)
 from plotgarden.adjunction import algebraic_unit, geometric_unit
+from conftest import fixture_with
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures.ws"
 
@@ -131,3 +135,81 @@ def test_medium_tier_garden_reloads_byte_for_byte():
     ws = parse_workspace(text)
     assert ws.resolve("cex") == garden
     assert serialize_workspace(ws) == text
+
+
+def _written(kind, obj):
+    return json.dumps(instance_workspace(kind, obj),
+                      sort_keys=True, indent=2) + "\n"
+
+
+def test_generated_instances_round_trip():
+    instances = generate_instances(7, count=40)
+    assert {inst["kind"] for inst in instances} == {
+        "plot", "garden", "plot_map", "garden_morphism"}
+    for inst in instances:
+        text = _written(inst["kind"], inst["object"])
+        assert serialize_workspace(parse_workspace(text)) == text, inst["name"]
+
+
+def test_medium_tier_instances_round_trip():
+    profile = parse_profile("nodes=16,points=8")
+    for i in range(3):
+        for kind, make in (("plot", random_plot), ("garden", random_garden)):
+            obj = make(random.Random("round-trip:%d" % i), profile)
+            text = _written(kind, obj)
+            assert serialize_workspace(parse_workspace(text)) == text
+
+
+def test_accepted_file_reaches_its_written_form_in_one_pass():
+    fixture = FIXTURES.read_text()
+    raw = json.loads(fixture)
+    raw["plots"]["sierp"]["valuation"].reverse()
+    raw["plots"]["sierp"]["unrooted"] = True    # but its valuation is onto
+    raw["spaces"]["sierp_space"]["points"] = ["Q", "P", "P"]
+    raw["structures"]["sierp_nodes"]["note"] = "not part of the format"
+    once = serialize_workspace(parse_workspace(json.dumps(raw)))
+    assert once == fixture
+    assert serialize_workspace(parse_workspace(once)) == once
+
+
+def _leaf_paths(x, path=()):
+    if path:
+        yield path
+    items = x.items() if isinstance(x, dict) else (
+        enumerate(x) if isinstance(x, list) else ())
+    for key, value in items:
+        yield from _leaf_paths(value, path + (key,))
+
+
+def test_mutated_fixtures_are_rejected_or_written_stably():
+    """Whatever the parser accepts is written as text that parses back and
+    is written again unchanged; whatever it rejects raises a
+    WorkspaceError, never a TypeError or KeyError."""
+    rng = random.Random("mutate")
+    paths = list(_leaf_paths(json.loads(FIXTURES.read_text())))
+    values = [1, None, True, "", "P", "{Q}", [], {}, ["P"], [["P"]],
+              {"a": 1}, [1, 2], ["P", "Q"], [["P", "P"]]]
+    accepted = 0
+    for _ in range(400):
+        text = fixture_with(rng.choice(paths), rng.choice(values))
+        try:
+            once = serialize_workspace(parse_workspace(text))
+        except WorkspaceError:
+            continue
+        accepted += 1
+        assert serialize_workspace(parse_workspace(once)) == once
+    assert accepted
+
+
+def test_frame_map_table_is_checked(sierp_garden):
+    raw = instance_workspace("garden_morphism",
+                             identity_garden_morphism(sierp_garden))
+    parse_workspace(json.dumps(raw))
+    raw["maps"]["cex"]["frame_map"].append(["{P}", "{}"])
+    with pytest.raises(ValidationError, match="frame_map of 'cex' names "
+                                              "unknown"):
+        parse_workspace(json.dumps(raw))
+    raw["maps"]["cex"]["frame_map"][-1] = ["{}", "{P}"]
+    with pytest.raises(ValidationError, match="frame_map of 'cex' names "
+                                              "'{}' twice"):
+        parse_workspace(json.dumps(raw))
