@@ -1,17 +1,19 @@
 """Label a transition structure with points and lift its operators to opens."""
 
 from plotgarden import (TransitionStructure, validate_space, validate_plot,
-                        lift_operators, lift_report, powerset_operators)
+                        lift_operators, lift_report)
 
 space = validate_space(["P", "Q"], [[], ["Q"], ["P", "Q"]])
 structure = TransitionStructure(["P", "Q"], edges=[("P", "Q")])
 plot = validate_plot(structure, space, {"P": "P", "Q": "Q"})
 print("plot:", plot)
 
-ops = powerset_operators(structure)
+# box(E): every successor in E; diamond(E): some successor in E
 E = frozenset(["Q"])
-print("box({Q}) on nodes:    ", sorted(ops.box(E)))
-print("diamond({Q}) on nodes:", sorted(ops.diamond(E)))
+box_E = [n for n in structure.nodes if structure.successors(n) <= E]
+diamond_E = [n for n in structure.nodes if structure.successors(n) & E]
+print("box({Q}) on nodes:    ", box_E)
+print("diamond({Q}) on nodes:", diamond_E)
 
 lifted = lift_operators(plot)
 print("lifted tables over the opens:")

@@ -13,10 +13,8 @@ from .lattice import (Filter, FiniteFrame, FrameMorphism,
                       right_adjoint, validate_frame)
 from .topology import (ContinuousMap, FiniteSpace, TopologyFrame,
                        continuity_witness, open_frame, set_name,
-                       spatial_closures, topology_frame, validate_space)
-from .transition import (NodeMap, Operators, TransitionStructure,
-                         characterize_operators, classify_node_map,
-                         powerset_operators)
+                       topology_frame, validate_space)
+from .transition import NodeMap, TransitionStructure
 from .plot import (LiftedBed, NotLentile, Plot, PlotMap, PostconditionFailure,
                    classify_plot_map, compose_plot_maps, functor_G_arrow,
                    functor_G_object, identity_plot_map, lift_operators,
@@ -30,11 +28,10 @@ from .adjunction import (algebraic_unit, check_naturality, geometric_unit,
                          unit_report, verify_idempotency)
 from .workspace import (Workspace, instance_workspace, parse_workspace,
                         serialize_workspace)
-from .generators import (NotBoolean, Profile, ProfileUnsatisfiable,
-                         generate_instances, parse_profile, random_garden,
-                         random_garden_morphism, random_lentile_map,
-                         random_plot, random_space, random_structure,
-                         shrink_instance, spec_boolean)
+from .generators import (Profile, ProfileUnsatisfiable, generate_instances,
+                         parse_profile, random_garden, random_garden_morphism,
+                         random_lentile_map, random_plot, random_space,
+                         random_structure, shrink_instance)
 from .oracles import (oracle_filters, oracle_flowers, oracle_harvest,
                       oracle_lens, oracle_records)
 from .report import law_report, law_statement, merge_reports, render_records

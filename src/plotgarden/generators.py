@@ -7,8 +7,9 @@ same seed on every run.
 
 import random
 
-from .garden import (compose_garden_morphisms, functor_F_arrow,
-                     identity_garden_morphism, validate_garden)
+from .garden import (GardenMorphism, compose_garden_morphisms,
+                     functor_F_arrow, identity_garden_morphism,
+                     validate_garden)
 from .plot import (Plot, PlotMap, classify_plot_map, functor_G_arrow,
                    functor_G_object, identity_plot_map, lift_operators,
                    validate_plot)
@@ -19,12 +20,6 @@ from .adjunction import algebraic_unit, geometric_unit
 
 class ProfileUnsatisfiable(ValueError):
     pass
-
-
-class NotBoolean(ValueError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__("element %r has no complement" % (witness,))
 
 
 class Profile:
@@ -241,32 +236,6 @@ def generate_instances(seed, profile=None, count=20):
     return out
 
 
-def spec_boolean(B, box):
-    """The plot a finite Boolean algebra induces through a box table.
-
-    Nodes are the principal prime filters, one per atom; there is an
-    edge from p to q exactly when everything forced by box at p already
-    sits above q; the space carries the topology generated by the
-    supports of the algebra's elements, which for a finite algebra is
-    discrete; the valuation is the identity.
-    """
-    for x in B.elements:
-        if not any(B.meet(x, c) == B.bottom and B.join(x, c) == B.top
-                   for c in B.elements):
-            raise NotBoolean(x)
-    atoms = [a for a in B.elements
-             if a != B.bottom and B.down(a) == frozenset((B.bottom, a))]
-    atoms.sort(key=str)
-    edges = []
-    for p in atoms:
-        forced = B.meet_all([b for b in B.elements if B.le(p, box[b])])
-        edges.extend((p, q) for q in atoms if B.le(q, forced))
-    subbasis = [frozenset(a for a in atoms if B.le(a, b)) for b in B.elements]
-    space = validate_space(atoms, _close_topology(atoms, subbasis))
-    structure = TransitionStructure(atoms, edges=edges)
-    return validate_plot(structure, space, {a: a for a in atoms})
-
-
 # ---------------------------------------------------------------------------
 # Greedy shrinking for counterexample persistence.
 
@@ -351,6 +320,27 @@ def _plot_map_candidates(m):
                    m.target, drop_edge=e)))
 
 
+def _rebuild_garden_morphism(gm, new_source=None, new_target=None):
+    # the beds stay, so the frame map does; the point map is restricted
+    # to the target's points and must land in the source's
+    source = new_source if new_source is not None else gm.source
+    target = new_target if new_target is not None else gm.target
+    pm = {q: gm.point_map(q) for q in target.space.points}
+    if not set(pm.values()) <= source.space.full:
+        raise ValueError("the point map leaves the shrunk source")
+    return GardenMorphism(source, target, gm.frame_map,
+                          ContinuousMap(target.space, source.space, pm))
+
+
+def _garden_morphism_candidates(gm):
+    for make in _garden_candidates(gm.source):
+        yield (lambda gm=gm, make=make:
+               _rebuild_garden_morphism(gm, new_source=make()))
+    for make in _garden_candidates(gm.target):
+        yield (lambda gm=gm, make=make:
+               _rebuild_garden_morphism(gm, new_target=make()))
+
+
 def _candidates(kind, obj):
     if kind == "plot":
         return _plot_candidates(obj)
@@ -358,6 +348,8 @@ def _candidates(kind, obj):
         return _garden_candidates(obj)
     if kind == "plot_map":
         return _plot_map_candidates(obj)
+    if kind == "garden_morphism":
+        return _garden_morphism_candidates(obj)
     return iter(())
 
 

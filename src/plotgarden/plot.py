@@ -313,7 +313,12 @@ def lift_operators(plot):
 
 
 def _recheck_lift_nodewise(plot, box, diamond, fail):
-    # small instances: recompute every membership from the raw definitions
+    # Small instances: recompute every lifted open from the raw definitions,
+    # apart from the point caches the lift is computed with.  Kept beside
+    # LAW.220J on purpose: that law checks only that the lift is lax
+    # (sigma(n) in box(U) implies n's successors are valued in U), which a
+    # table of empty opens passes; this also checks that each lifted open
+    # is the largest such open.
     st, sigma, space = plot.structure, plot.valuation, plot.space
     inv = {V: frozenset(n for n in st.nodes if sigma[n] in V)
            for V in space.opens}

@@ -114,20 +114,6 @@ def validate_space(points, opens):
     return space
 
 
-def spatial_closures(space, E):
-    """closure, interior, saturation, lens, and the specialization order of E."""
-    E = frozenset(E)
-    if not E <= space.full:
-        raise PointUnknown("unknown points %r" % (sorted(E - space.full, key=str),))
-    return {
-        "closure": space.closure(E),
-        "interior": space.interior(E),
-        "saturation": space.saturation(E),
-        "lens": space.lens(E),
-        "specialization_order": space.specialization(),
-    }
-
-
 class TopologyFrame(FiniteFrame):
     """The opens of a space as a frame, with name <-> set translation."""
 
@@ -139,9 +125,6 @@ class TopologyFrame(FiniteFrame):
 
     def set_of(self, name):
         return self.open_sets[name]
-
-    def name_of(self, V):
-        return set_name(V)
 
 
 def topology_frame(space):
@@ -215,12 +198,3 @@ def open_frame(phi):
     mapping = {set_name(V): set_name(phi.preimage(V)) for V in phi.target.opens}
     return FrameMorphism(src_frame, tgt_frame, mapping)
 
-
-if __name__ == "__main__":
-    sierp = validate_space(["P", "Q"], [[], ["Q"], ["P", "Q"]])
-    print("specialization:", sorted(sierp.specialization()))
-    for E in ([], ["Q"], ["P"]):
-        r = spatial_closures(sierp, E)
-        print(set_name(E), "closure", set_name(r["closure"]),
-              "saturation", set_name(r["saturation"]),
-              "lens", set_name(r["lens"]))

@@ -5,9 +5,11 @@ gardens, and maps, each under a name that is unique across the whole
 file.  Every name is a JSON string.  Sets are sorted arrays of names,
 binary tables are arrays of 2-element arrays, covering tables pair an
 element with an array of points, and a table names each element of its
-domain exactly once.  Serialization sorts keys and arrays.  Each
-entry's written form is built by one function from the parsed object,
-so written text parses back and is written again unchanged.
+domain exactly once.  No object gives a key twice, and an entry holds
+only fields its written form can hold.  Serialization sorts keys and
+arrays.  Each entry's written form is built by one function from the
+parsed object, so written text parses back and is written again
+unchanged.
 """
 
 import json
@@ -15,7 +17,7 @@ import json
 from .lattice import FrameMorphism, validate_frame
 from .topology import ContinuousMap, validate_space
 from .transition import NodeMap, TransitionStructure
-from .plot import Plot, PlotMap, validate_plot
+from .plot import Plot, PlotMap
 from .garden import Bed, GardenMorphism, validate_garden
 
 FORMAT_VERSION = 1
@@ -125,12 +127,17 @@ def _mapping(entry, what, owner, domain, codomain):
     return table
 
 
-def _require(entry, name, *fields):
+def _require(entry, name, *fields, optional=()):
+    """entry is an object with every one of fields and no other field
+    but those in optional: the fields its entry builder writes."""
     if not isinstance(entry, dict):
         raise ValidationError("entry %r must be an object" % (name,))
     for f in fields:
         if f not in entry:
             raise ValidationError("entry %r is missing %r" % (name, f))
+    for f in sorted(entry):
+        if f not in fields and f not in optional:
+            raise ValidationError("entry %r has unknown field %r" % (name, f))
 
 
 def _ref(ws, category, entry, field, owner):
@@ -143,10 +150,21 @@ def _ref(ws, category, entry, field, owner):
     return table[name]
 
 
+def _unique_keys(pairs):
+    """A JSON object's pairs as a dict; a key given twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise WorkspaceSyntaxError("key %r is given twice in one object"
+                                       % (key,))
+        obj[key] = value
+    return obj
+
+
 def parse_workspace(text):
     """Parse and fully validate a workspace file."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise WorkspaceSyntaxError(err.msg, line=err.lineno) from err
     if not isinstance(data, dict):
@@ -208,13 +226,17 @@ def _load_bed(ws, name, entry):
 
 
 def _load_plot(ws, name, entry):
-    _require(entry, name, "structure", "space", "valuation")
+    _require(entry, name, "structure", "space", "valuation",
+             optional=("unrooted",))
     st = _ref(ws, "structures", entry, "structure", name)
     space = _ref(ws, "spaces", entry, "space", name)
     valuation = _table(entry, "valuation", name, st.nodes)
     # harvests may miss points; such plots are admitted when marked
-    plot = Plot(st, space, valuation,
-                _allow_unrooted=bool(entry.get("unrooted")))
+    unrooted = entry.get("unrooted", False)
+    if not isinstance(unrooted, bool):
+        raise ValidationError("unrooted of %r must be true or false, not %s"
+                              % (name, json.dumps(unrooted)))
+    plot = Plot(st, space, valuation, _allow_unrooted=unrooted)
     return plot, _plot_entry(plot, entry["structure"], entry["space"])
 
 
@@ -227,11 +249,14 @@ def _load_garden(ws, name, entry):
     return garden, _garden_entry(garden, entry["bed"], entry["space"])
 
 
+_MAP_FIELDS = ("kind", "source", "target", "point_map")
+
+
 def _load_map(ws, name, entry):
-    _require(entry, name, "kind", "source", "target", "point_map")
+    _require(entry, name, *_MAP_FIELDS, optional=("node_map", "frame_map"))
     kind = entry["kind"]
     if kind == "plot_map":
-        _require(entry, name, "node_map")
+        _require(entry, name, *_MAP_FIELDS, "node_map")
         source = _ref(ws, "plots", entry, "source", name)
         target = _ref(ws, "plots", entry, "target", name)
         nm = NodeMap(source.structure, target.structure,
@@ -241,7 +266,7 @@ def _load_map(ws, name, entry):
         obj = PlotMap(source, target, nm,
                       ContinuousMap(source.space, target.space, pm))
     elif kind == "garden_morphism":
-        _require(entry, name, "frame_map")
+        _require(entry, name, *_MAP_FIELDS, "frame_map")
         source = _ref(ws, "gardens", entry, "source", name)
         target = _ref(ws, "gardens", entry, "target", name)
         src_fr, tgt_fr = source.bed.frame, target.bed.frame

@@ -10,16 +10,16 @@ from pathlib import Path
 from plotgarden.workspace import parse_workspace
 from plotgarden.plot import (classify_plot_map, functor_G_arrow,
                              functor_G_object, lift_operators)
-from plotgarden.transition import classify_node_map
 from plotgarden.topology import ContinuousMap, continuity_witness
 from plotgarden.garden import (check_garden_morphism, flower_structure,
-                               functor_F_report, harvest, lift_report)
+                               functor_F_report, lift_report)
 from plotgarden.adjunction import (check_naturality, geometric_unit,
                                    verify_idempotency)
 from plotgarden.generators import (random_garden, random_garden_morphism,
                                    random_lentile_map, random_plot)
 from plotgarden.oracles import OracleTooLarge, oracle_records
 from plotgarden.cli import run_cli
+from references import classify_node_map
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures.ws"
 

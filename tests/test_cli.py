@@ -6,7 +6,7 @@ import pytest
 
 import plotgarden.cli as cli
 from plotgarden.cli import run_cli
-from plotgarden.generators import Profile, random_plot
+from plotgarden.generators import Profile, generate_instances, random_plot
 from plotgarden.workspace import instance_workspace, parse_workspace
 from conftest import fixture_with
 
@@ -192,6 +192,25 @@ def test_oracle_counterexample_keeps_the_law_asked_about(tmp_path,
     assert 4 <= shrunk_size(tmp_path) < len(plot.structure.nodes)
 
 
+def test_garden_morphism_counterexample_is_shrunk(tmp_path, monkeypatch):
+    gm = generate_instances("3", count=16)[15]["object"]
+    assert len(gm.source.space.points) == len(gm.target.space.points) == 5
+    path = tmp_path / "gm.ws"
+    path.write_text(json.dumps(instance_workspace("garden_morphism", gm)))
+
+    def fake_suite(kind, obj):
+        # the law fails while the source garden keeps two points
+        big = len(obj.source.space.points) >= 2
+        return [{"id": "LAW.230D", "passed": not big, "witness": None}]
+    monkeypatch.setattr(cli, "_safe_suite", fake_suite)
+    assert run_cli(["verify", str(path) + "#cex",
+                    "--report", str(tmp_path / "run.json")]) == 1
+    ws = parse_workspace((tmp_path / "run.cex.ws").read_text())
+    small = ws.resolve("cex")
+    assert len(small.source.space.points) == 2
+    assert len(small.target.space.points) < 5
+
+
 SIERP_BOX = [["{P,Q}", "{P,Q}"], ["{Q}", "{P,Q}"], ["{}", "{Q}"]]
 SIERP_COVERING = [["{P,Q}", ["P", "Q"]], ["{Q}", ["Q"]], ["{}", []]]
 
@@ -235,7 +254,26 @@ INVALID_EDITS = {
     "point_map leaves its target": (
         ("maps", "tight", "point_map"), [["s", "t"]],
         "point_map of 'tight' sends 's' outside the target"),
+    "unknown entry field": (
+        ("structures", "sierp_nodes", "note"), "not part of the format",
+        "entry 'sierp_nodes' has unknown field 'note'"),
+    "field of the other map kind": (
+        ("maps", "tight", "frame_map"), [["{}", "{}"]],
+        "entry 'tight' has unknown field 'frame_map'"),
+    "unrooted as a string": (
+        ("plots", "sierp", "unrooted"), "no",
+        'unrooted of \'sierp\' must be true or false, not "no"'),
 }
+
+
+def test_repeated_section_entry_exits_2(tmp_path, capsys):
+    # two spaces named sp: the second must not silently replace the first
+    space = '{"points": ["p"], "opens": [[], ["p"]]}'
+    ws = tmp_path / "twice.ws"
+    ws.write_text('{"spaces": {"sp": %s, "sp": %s}}' % (space, space))
+    assert run_cli(["validate", str(ws)]) == 2
+    assert capsys.readouterr().err == (
+        "error: key 'sp' is given twice in one object\n")
 
 
 @pytest.mark.parametrize("label", sorted(INVALID_EDITS))

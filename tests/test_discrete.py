@@ -18,10 +18,11 @@ import pytest
 from plotgarden import cli
 from plotgarden.adjunction import geometric_unit
 from plotgarden.garden import harvest
-from plotgarden.generators import spec_boolean
 from plotgarden.plot import Plot, functor_G_object, lift_operators
-from plotgarden.topology import set_name, validate_space
+from plotgarden.topology import set_name, topology_frame, validate_space
 from plotgarden.transition import TransitionStructure
+from conftest import build_space
+from references import NotBoolean, spec_boolean
 
 
 SIZES = [3, 5, 7, 8]
@@ -74,3 +75,21 @@ def test_boolean_spectrum_rebuilds_the_relation(n):
     atom = {p: set_name([p]) for p in plot.space.points}
     assert sorted(rebuilt.structure.edges) == sorted(
         (atom[a], atom[b]) for a, b in plot.structure.edges)
+
+
+def test_boolean_to_plot():
+    square = build_space(["a", "b"], [[], ["a"], ["b"], ["a", "b"]])
+    B = topology_frame(square)
+    plot = spec_boolean(B, {x: x for x in B.elements})
+    assert plot.structure.nodes == ("{a}", "{b}")
+    assert plot.structure.edges == (("{a}", "{a}"), ("{b}", "{b}"))
+    assert len(plot.space.opens) == 4
+    assert plot.valuation == {"{a}": "{a}", "{b}": "{b}"}
+
+    blind = spec_boolean(B, {x: "{a,b}" for x in B.elements})
+    assert blind.structure.edges == ()
+
+    chain = topology_frame(build_space(["P", "Q"], [[], ["Q"], ["P", "Q"]]))
+    with pytest.raises(NotBoolean) as info:
+        spec_boolean(chain, {x: x for x in chain.elements})
+    assert info.value.witness == "{Q}"

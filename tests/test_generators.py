@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from plotgarden.generators import (NotBoolean, Profile, ProfileUnsatisfiable,
+from plotgarden.generators import (Profile, ProfileUnsatisfiable,
                                    generate_instances, parse_profile,
                                    random_garden, random_garden_morphism,
                                    random_lentile_map, random_plot,
-                                   shrink_instance, spec_boolean)
+                                   shrink_instance)
 from plotgarden.plot import classify_plot_map, lift_operators
 from plotgarden.garden import Bed, check_garden_morphism, harvest, validate_garden
-from plotgarden.topology import topology_frame
 from conftest import build_plot, build_space
 
 
@@ -97,24 +96,6 @@ def test_quotient_covering_garden():
     g = validate_garden(bed, space, cover)
     assert any(g.covering(x) != x for x in g.bed.frame.elements)
     assert harvest(g) is not None
-
-
-def test_boolean_to_plot():
-    square = build_space(["a", "b"], [[], ["a"], ["b"], ["a", "b"]])
-    B = topology_frame(square)
-    plot = spec_boolean(B, {x: x for x in B.elements})
-    assert plot.structure.nodes == ("{a}", "{b}")
-    assert plot.structure.edges == (("{a}", "{a}"), ("{b}", "{b}"))
-    assert len(plot.space.opens) == 4
-    assert plot.valuation == {"{a}": "{a}", "{b}": "{b}"}
-
-    blind = spec_boolean(B, {x: "{a,b}" for x in B.elements})
-    assert blind.structure.edges == ()
-
-    chain = topology_frame(build_space(["P", "Q"], [[], ["Q"], ["P", "Q"]]))
-    with pytest.raises(NotBoolean) as info:
-        spec_boolean(chain, {x: x for x in chain.elements})
-    assert info.value.witness == "{Q}"
 
 
 def test_random_lentile_maps_are_lentile():

@@ -4,16 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plotgarden.plot import (NotLentile, Plot, PlotError, ValuationNotTotal,
-                             ValuationNotSurjective, classify_plot_map,
-                             compose_plot_maps, functor_G_arrow,
-                             functor_G_object, identity_plot_map,
-                             lift_operators)
+                             ValuationNotSurjective, _recheck_lift_nodewise,
+                             classify_plot_map, compose_plot_maps,
+                             functor_G_arrow, functor_G_object,
+                             identity_plot_map, lift_operators)
 from plotgarden.garden import check_garden_morphism, lift_report
 from plotgarden.topology import set_name, topology_frame
-from plotgarden.transition import TransitionStructure, powerset_operators
+from plotgarden.transition import TransitionStructure
 from plotgarden.generators import Profile, _pullback_map, random_plot
 from plotgarden.adjunction import geometric_unit
-from conftest import build_map, build_plot
+from plotgarden.workspace import parse_workspace
+from conftest import FIXTURES, build_map, build_plot
+from references import box, diamond
 
 
 def test_valuation_must_be_total_and_surjective(sierp_space):
@@ -43,14 +45,14 @@ def test_lift_matches_powerset_definition(seed):
     rng = random.Random("lift:%d" % seed)
     plot = random_plot(rng)
     lifted = lift_operators(plot)
-    ops = powerset_operators(plot.structure)
+    st = plot.structure
     opens = plot.space.sorted_opens()
     pre = {set_name(U): frozenset(n for n in plot.structure.nodes
                                   if plot.valuation[n] in U) for U in opens}
     for U in opens:
         uname = set_name(U)
-        box_pre = ops.box(pre[uname])
-        dia_pre = ops.diamond(pre[uname])
+        box_pre = box(st, pre[uname])
+        dia_pre = diamond(st, pre[uname])
         box_u = frozenset().union(
             *[V for V in opens if pre[set_name(V)] <= box_pre])
         dia_u = frozenset().union(
@@ -64,6 +66,25 @@ def test_lift_matches_powerset_definition(seed):
         for V in opens:
             assert (pre[set_name(V)] <= box_pre) == (V <= box_u)
             assert (pre[set_name(V)] <= dia_pre) == (V <= dia_u)
+
+
+def test_nodewise_recheck_rejects_a_lax_table_that_is_not_largest():
+    # a table of empty opens is lax, so LAW.220J passes it; only the
+    # nodewise recheck sees that the lift of {Q} under box is not the largest
+    plot = parse_workspace(FIXTURES.read_text()).resolve("sierp")
+    lifted = lift_operators(plot)
+
+    def as_sets(table):
+        return {U: lifted.frame.set_of(table[set_name(U)])
+                for U in plot.space.opens}
+    box, diamond = as_sets(lifted.box_sigma), as_sets(lifted.diamond_sigma)
+    calls = []
+    _recheck_lift_nodewise(plot, box, diamond, calls.append)
+    assert calls == []
+    empty = {U: frozenset() for U in plot.space.opens}
+    _recheck_lift_nodewise(plot, empty, diamond, calls.append)
+    assert calls and all(c.startswith("nodewise box recheck fails")
+                         for c in calls)
 
 
 def test_classify_tight(tight_map):

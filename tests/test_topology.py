@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from plotgarden.topology import (ContinuousMap, NotATopology, PointUnknown,
-                                 NotContinuous, continuity_witness,
-                                 open_frame, set_name, topology_frame,
-                                 validate_space)
+from plotgarden.topology import (ContinuousMap, NotATopology, NotContinuous,
+                                 continuity_witness, open_frame, set_name,
+                                 topology_frame)
 from plotgarden.generators import random_space
 from conftest import build_space
 
@@ -64,7 +63,8 @@ def test_topology_frame_roundtrip(sierp_space):
     fr = topology_frame(sierp_space)
     assert set(fr.elements) == {"{}", "{Q}", "{P,Q}"}
     for U in sierp_space.opens:
-        assert fr.set_of(fr.name_of(U)) == U
+        assert fr.set_of(fr.open_names[U]) == U
+        assert fr.open_names[U] == set_name(U)
     assert fr.le("{}", "{Q}") and not fr.le("{P,Q}", "{Q}")
 
 
@@ -82,12 +82,3 @@ def test_open_frame_of_identity_is_identity(sierp_space):
     f = open_frame(ident)
     assert f.mapping == {x: x for x in f.source.elements}
 
-
-def test_point_unknown():
-    from plotgarden.topology import spatial_closures
-    space = build_space(["a"], [[], ["a"]])
-    with pytest.raises(PointUnknown):
-        spatial_closures(space, frozenset(["zz"]))
-    report = spatial_closures(space, frozenset(["a"]))
-    assert report["closure"] == frozenset(["a"])
-    assert report["lens"] == frozenset(["a"])

@@ -1,10 +1,17 @@
+import itertools
 import random
 
 import pytest
 
-from plotgarden.transition import (NodeMap, TransitionStructure,
-                                   characterize_operators, classify_node_map,
-                                   powerset, powerset_operators)
+from plotgarden.transition import NodeMap, TransitionStructure
+from references import box, classify_node_map, diamond, subsets
+
+
+def random_structure(label):
+    rng = random.Random(label)
+    nodes = ["n%d" % k for k in range(rng.randint(1, 5))]
+    edges = [(a, b) for a in nodes for b in nodes if rng.random() < 0.4]
+    return TransitionStructure(nodes, edges=edges)
 
 
 def test_structure_normalizes_and_validates():
@@ -18,29 +25,46 @@ def test_structure_normalizes_and_validates():
 
 def test_operators_match_definitions():
     for i in range(30):
-        rng = random.Random("ops:%d" % i)
-        nodes = ["n%d" % k for k in range(rng.randint(1, 5))]
-        edges = [(a, b) for a in nodes for b in nodes if rng.random() < 0.4]
-        st = TransitionStructure(nodes, edges=edges)
-        ops = powerset_operators(st)
-        full = frozenset(nodes)
-        for E in powerset(nodes):
-            box = frozenset(n for n in nodes if st.succ[n] <= E)
-            assert ops.box(E) == box
-            assert ops.diamond(E) == full - ops.box(full - E)
+        st = random_structure("ops:%d" % i)
+        full = frozenset(st.nodes)
+        for E in subsets(st.nodes):
+            assert box(st, E) == frozenset(
+                n for n in st.nodes if all(m in E for m in st.succ[n]))
+            assert diamond(st, E) == full - box(st, full - E)
 
 
 def test_operators_monotone_and_multiplicative():
     st = TransitionStructure(["a", "b", "c"],
                              edges=[("a", "b"), ("b", "c"), ("c", "a")])
-    ops = powerset_operators(st)
-    subsets = list(powerset(st.nodes))
-    for E in subsets:
-        for F in subsets:
-            assert ops.box(E & F) == ops.box(E) & ops.box(F)
+    every = list(subsets(st.nodes))
+    for E in every:
+        for F in every:
+            assert box(st, E & F) == box(st, E) & box(st, F)
             if E <= F:
-                assert ops.diamond(E) <= ops.diamond(F)
-            assert ops.box(E) & ops.diamond(F) <= ops.diamond(E & F)
+                assert diamond(st, E) <= diamond(st, F)
+            assert box(st, E) & diamond(st, F) <= diamond(st, E & F)
+
+
+def test_operators_preserve_meets_and_joins_and_determine_the_relation():
+    # the lemma: box preserves all intersections and diamond all unions,
+    # the empty ones included, and P -> Q iff P is in diamond({Q})
+    # rebuilds a relation that regenerates both operators
+    for i in range(30):
+        st = random_structure("lemma:%d" % i)
+        full = frozenset(st.nodes)
+        every = list(subsets(st.nodes))
+        assert box(st, full) == full
+        assert diamond(st, frozenset()) == frozenset()
+        for E, F in itertools.combinations(every, 2):
+            assert box(st, E & F) == box(st, E) & box(st, F)
+            assert diamond(st, E | F) == diamond(st, E) | diamond(st, F)
+        relation = [(p, q) for p in st.nodes for q in st.nodes
+                    if p in diamond(st, {q})]
+        rebuilt = TransitionStructure(st.nodes, edges=relation)
+        assert rebuilt == st
+        for E in every:
+            assert box(rebuilt, E) == box(st, E)
+            assert diamond(rebuilt, E) == diamond(st, E)
 
 
 def test_classify_node_map_tight_is_not_simulation(tight_map):
@@ -56,30 +80,6 @@ def test_classify_node_map_morphism_failure():
     verdict = classify_node_map(NodeMap(src, tgt, {"a": "x", "b": "y"}))
     assert not verdict["is_transition_morphism"]
     assert verdict["witnesses"]["morphism"] == ("a", "b")
-
-
-def test_characterize_operators_accepts_genuine_pair():
-    st = TransitionStructure(["a", "b"], edges=[("a", "a"), ("a", "b")])
-    ops = powerset_operators(st)
-    report = characterize_operators(st, ops.box, ops.diamond)
-    assert report["lemma_holds"]
-    assert report["reconstructed_relation_matches"]
-    assert report["matches_structure_relation"]
-    assert frozenset(report["reconstructed_relation"]) == frozenset(st.edges)
-
-
-def test_characterize_operators_rejects_non_multiplicative_box():
-    st = TransitionStructure(["a", "b"], edges=[("a", "b")])
-    full = frozenset(["a", "b"])
-
-    def fake_box(E):
-        return full if len(E) >= 1 else frozenset()
-
-    def fake_diamond(E):
-        return frozenset() if not E else frozenset(["a"])
-
-    report = characterize_operators(st, fake_box, fake_diamond)
-    assert not report["lemma_holds"]
 
 
 def test_node_map_rejects_missing_and_foreign_images():

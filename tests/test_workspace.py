@@ -61,6 +61,16 @@ def test_duplicate_names_rejected():
         parse_workspace(json.dumps(raw))
 
 
+@pytest.mark.parametrize("text", [
+    '{"spaces": {"sp": {"points": ["p"], "opens": [[], ["p"]], '
+    '"points": ["p", "q"]}}}',
+    '{"format_version": 1, "format_version": 1}',
+], ids=["field", "top level"])
+def test_repeated_keys_rejected(text):
+    with pytest.raises(WorkspaceSyntaxError, match="given twice"):
+        parse_workspace(text)
+
+
 def test_unresolved_reference_in_entry():
     raw = {"format_version": 1,
            "plots": {"p": {"structure": "missing", "space": "missing",
@@ -87,6 +97,13 @@ def test_unrooted_flag_round_trip():
     del raw["plots"]["pl"]["unrooted"]
     with pytest.raises(ValidationError):
         parse_workspace(json.dumps(raw))
+
+    # only a JSON boolean marks a plot unrooted
+    for flag in ("no", 1, [1], None):
+        raw["plots"]["pl"]["unrooted"] = flag
+        with pytest.raises(ValidationError, match="unrooted of 'pl' must be "
+                                                  "true or false"):
+            parse_workspace(json.dumps(raw))
 
 
 def test_instance_round_trip_plot(sierp_plot):
@@ -166,7 +183,6 @@ def test_accepted_file_reaches_its_written_form_in_one_pass():
     raw["plots"]["sierp"]["valuation"].reverse()
     raw["plots"]["sierp"]["unrooted"] = True    # but its valuation is onto
     raw["spaces"]["sierp_space"]["points"] = ["Q", "P", "P"]
-    raw["structures"]["sierp_nodes"]["note"] = "not part of the format"
     once = serialize_workspace(parse_workspace(json.dumps(raw)))
     assert once == fixture
     assert serialize_workspace(parse_workspace(once)) == once
