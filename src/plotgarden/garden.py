@@ -7,8 +7,6 @@ triple, prunes the unhealthy ones down to the greatest healthy set, and
 returns the surviving flowers as a plot over the garden's space.
 """
 
-from collections import deque
-
 from .lattice import (Filter, FrameMorphism, check_frame_morphism,
                       filter_images, right_adjoint)
 from .topology import ContinuousMap, PointUnknown, set_name, topology_frame
@@ -306,19 +304,16 @@ class Flower:
 
 
 def _enumerate_flowers(g):
-    """All flowers, via the principal characterizations, plus a root index."""
+    """All flowers, via the principal characterizations."""
     fr = g.bed.frame
     flowers = []
-    by_root = {p: [] for p in g.space.points}
     for p in g.space.points:
         pf = point_filters(g, p)
         gens = sorted(fr.down(pf["pbb"].generator), key=str)
         for a in sorted(pf["pdd"], key=str):
             for c in gens:
-                fl = Flower(p, a, Filter(fr, c))
-                flowers.append(fl)
-                by_root[p].append(fl)
-    return flowers, by_root
+                flowers.append(Flower(p, a, Filter(fr, c)))
+    return flowers
 
 
 def _flower_fault(g, root, stalk, gen):
@@ -338,23 +333,36 @@ def _region(g, stalk, gen):
     return g.alpha(gen) - g.alpha(stalk)
 
 
-def flower_structure(g):
-    """Every flower of the garden and the transition relation between them.
+def _transitions(g, flowers):
+    """The transition relation on a flower set, as a successor map.
 
-    The relation is returned as a successor map; flowers sharing a
-    stalk/bloom pattern share one successor set.
+    Each member steps to the members rooted in its region; flowers
+    sharing a stalk/bloom pattern share one successor set.
     """
-    flowers, by_root = _enumerate_flowers(g)
+    by_root = {}
+    for fl in flowers:
+        by_root.setdefault(fl.root, []).append(fl)
     pattern = {}
     succ = {}
     for fl in flowers:
         key = (fl.stalk, fl.bloom.generator)
         s = pattern.get(key)
         if s is None:
-            s = frozenset(x for q in _region(g, *key) for x in by_root[q])
+            s = frozenset(x for q in _region(g, *key)
+                          for x in by_root.get(q, ()))
             pattern[key] = s
         succ[fl] = s
-    return {"flowers": frozenset(flowers), "edges": succ}
+    return succ
+
+
+def flower_structure(g):
+    """Every flower of the garden and the transition relation between them.
+
+    The relation is returned as a successor map; flowers sharing a
+    stalk/bloom pattern share one successor set.
+    """
+    flowers = _enumerate_flowers(g)
+    return {"flowers": frozenset(flowers), "edges": _transitions(g, flowers)}
 
 
 def healthy_witness(g, flowers):
@@ -385,38 +393,32 @@ def healthy_witness(g, flowers):
 def harvest(g):
     """Prune the flowers of a garden to the largest healthy set.
 
-    A flower is healthy relative to the survivors when, for every element
-    outside its bloom, some surviving transition target's nabla misses
-    that element, and for every element not under its stalk, some
-    target's nabla contains it.  Both conditions only depend on which
-    roots still carry survivors, so the worklist reruns a flower's check
-    only when a root it can reach loses its last survivor.  The result
-    is order-independent.  The survivors are checked once against the
-    plain definition, healthy_witness, before the plot is assembled; a
-    witness raises PostconditionFailure.  Cached once per garden.
+    A flower is healthy relative to the live roots when, for every
+    element outside its bloom, some live root in its region lies outside
+    that element's covering, and for every element not under its stalk,
+    some live root in its region lies inside it.  Health depends only on
+    the flower's stalk/bloom pattern and the live roots, and only shrinks
+    as they shrink.  So the pruning runs in rounds over patterns: with
+    every pattern alive and every candidate root live at the start, each
+    round keeps the alive patterns that are healthy against the live
+    roots and takes their flowers' roots as the new live roots, until a
+    round keeps every live root.  A dead pattern is never rechecked, and
+    there are at most |points| + 1 rounds.  The survivors, the flowers
+    of the alive patterns, are checked once against the plain definition,
+    healthy_witness, before the plot is assembled; a witness raises
+    PostconditionFailure.  Cached once per garden.
     """
     cached = g.__dict__.get("_harvest")
     if cached is not None:
         return cached
     fr = g.bed.frame
-    flowers, by_root = _enumerate_flowers(g)
-    regions = {}
+    flowers = _enumerate_flowers(g)
+    roots_of = {}  # stalk/bloom pattern -> roots of its flowers
     for fl in flowers:
-        key = (fl.stalk, fl.bloom.generator)
-        if key not in regions:
-            regions[key] = _region(g, *key)
-    watching = {p: [] for p in g.space.points}
-    for fl in flowers:
-        for p in regions[(fl.stalk, fl.bloom.generator)]:
-            watching[p].append(fl)
-
-    live_by_root = {p: set(by_root[p]) for p in g.space.points}
-    live_roots = set(p for p in g.space.points if live_by_root[p])
-    removed = set()
+        roots_of.setdefault((fl.stalk, fl.bloom.generator), set()).add(fl.root)
     bounds = {}  # live reachable root set -> (meet, join) health bounds
 
-    def healthy(fl):
-        W = frozenset(regions[(fl.stalk, fl.bloom.generator)] & live_roots)
+    def healthy(stalk, gen, W):
         got = bounds.get(W)
         if got is None:
             m = fr.meet_all(x for x in fr.elements if W <= g.alpha(x))
@@ -424,41 +426,25 @@ def harvest(g):
             got = (m, M)
             bounds[W] = got
         m, M = got
-        return fr.le(fl.bloom.generator, m) and fr.le(M, fl.stalk)
+        return fr.le(gen, m) and fr.le(M, stalk)
 
-    queue = deque(flowers)
-    queued = set(flowers)
-    while queue:
-        fl = queue.popleft()
-        queued.discard(fl)
-        if fl in removed or healthy(fl):
-            continue
-        removed.add(fl)
-        root_set = live_by_root[fl.root]
-        root_set.discard(fl)
-        if not root_set:
-            live_roots.discard(fl.root)
-            for other in watching[fl.root]:
-                if other not in removed and other not in queued:
-                    queue.append(other)
-                    queued.add(other)
+    alive = {key: _region(g, *key) for key in roots_of}
+    live = frozenset(fl.root for fl in flowers)
+    while True:
+        alive = {key: region for key, region in alive.items()
+                 if healthy(*key, region & live)}
+        kept = frozenset().union(*(roots_of[key] for key in alive))
+        if kept == live:
+            break
+        live = kept
 
-    survivors = [fl for fl in flowers if fl not in removed]
+    survivors = [fl for fl in flowers
+                 if (fl.stalk, fl.bloom.generator) in alive]
     bad = healthy_witness(g, survivors)
     if bad is not None:
         raise PostconditionFailure("survivor %r at %r: %s" % bad)
-
-    # a root without survivors has an empty live set, so it adds nothing
-    succ_of_pattern = {}
-    for fl in survivors:
-        key = (fl.stalk, fl.bloom.generator)
-        if key not in succ_of_pattern:
-            succ_of_pattern[key] = frozenset(
-                x for q in regions[key] for x in live_by_root[q])
-    structure = TransitionStructure(
-        survivors,
-        succ={fl: succ_of_pattern[(fl.stalk, fl.bloom.generator)]
-              for fl in survivors})
+    structure = TransitionStructure(survivors,
+                                    succ=_transitions(g, survivors))
     plot = Plot(structure, g.space, {fl: fl.root for fl in survivors},
                 _allow_unrooted=True)
     g.__dict__["_harvest"] = plot

@@ -55,6 +55,24 @@ def test_verify_non_lentile_map(tmp_path, capsys):
     assert doc["classification"]["is_lentile"] is False
 
 
+def test_verify_non_garden_morphism(tmp_path, capsys):
+    # swapping the points breaks the square, so LAW.230D fails and the
+    # laws of garden morphisms do not apply
+    identity = [["{P,Q}", "{P,Q}"], ["{Q}", "{Q}"], ["{}", "{}"]]
+    swap = {"kind": "garden_morphism", "source": "sierp_garden",
+            "target": "sierp_garden", "frame_map": identity,
+            "point_map": [["P", "Q"], ["Q", "P"]]}
+    ws = tmp_path / "swap.ws"
+    ws.write_text(fixture_with(("maps", "swap"), swap))
+    report = tmp_path / "swap.json"
+    assert run_cli(["verify", str(ws) + "#swap",
+                    "--report", str(report)]) == 1
+    assert "INTERNAL" not in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert [(r["id"], r["passed"], r["witness"]) for r in doc["records"]] == [
+        ("LAW.230D", False, {"square": "{Q}"})]
+
+
 def test_check_map(tmp_path, capsys):
     report = tmp_path / "homeo.json"
     assert run_cli(["check-map", ref("homeo"), "--report", str(report)]) == 0

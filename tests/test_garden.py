@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plotgarden import cli
 from plotgarden.garden import (Bed, BedAxiomViolation,
                                CoveringNotFrameMorphism,
                                CoveringNotSurjective,
@@ -12,7 +13,7 @@ from plotgarden.garden import (Bed, BedAxiomViolation,
                                healthy_witness, identity_garden_morphism,
                                point_filters, validate_garden)
 from plotgarden.topology import PointUnknown, topology_frame
-from plotgarden.generators import random_garden
+from plotgarden.generators import Profile, parse_profile, random_garden
 from plotgarden.oracles import OracleTooLarge, oracle_flowers, oracle_harvest
 from plotgarden.adjunction import algebraic_unit
 from conftest import build_space
@@ -134,6 +135,41 @@ def test_harvest_agrees_with_full_rescan(seed):
         assert oracle_harvest(g)["passed"]
     except OracleTooLarge:
         pass
+
+
+def one_round(g):
+    """The candidate flowers healthy against every candidate root: what a
+    single pruning round keeps."""
+    fr = g.bed.frame
+    flowers = flower_structure(g)["flowers"]
+    roots = frozenset(fl.root for fl in flowers)
+    kept = set()
+    for fl in flowers:
+        a, c = fl.stalk, fl.bloom.generator
+        W = (g.alpha(c) - g.alpha(a)) & roots
+        if all((fr.le(c, x) or not W <= g.alpha(x))
+               and (fr.le(x, a) or g.alpha(x) & W) for x in fr.elements):
+            kept.add(fl)
+    return kept
+
+
+SMALL = parse_profile("nodes=6..10,points=3..4")
+CASCADES = [("cascade:default:151", Profile()),
+            ("cascade:default:184", Profile())] + [
+    ("cascade:nodes=6..10,points=3..4:%d" % i, SMALL)
+    for i in (57, 79, 134, 161)]
+
+
+@pytest.mark.parametrize("seed,profile", CASCADES)
+def test_harvest_prunes_past_the_first_round(seed, profile):
+    # the first round empties a root, so flowers that only it kept
+    # healthy must go in a later round
+    g = random_garden(random.Random(seed), profile)
+    plot = harvest(g)
+    assert set(plot.structure.nodes) < one_round(g)
+    assert plot.unrooted_points
+    assert oracle_harvest(g)["passed"]
+    assert all(r["passed"] for r in cli.law_suite("garden", g))
 
 
 def test_functor_F_on_algebraic_unit(sierp_garden):

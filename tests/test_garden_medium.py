@@ -77,14 +77,14 @@ def flower_record_from_structure(g):
 
 def test_flower_hash_follows_its_parts(garden):
     frame = garden.bed.frame
-    for fl in _enumerate_flowers(garden)[0][::25]:
+    for fl in _enumerate_flowers(garden)[::25]:
         twin = Flower(fl.root, fl.stalk, Filter(frame, fl.bloom.generator))
         assert twin is not fl
         assert twin == fl and hash(twin) == hash(fl)
 
 
 def test_unpickled_flower_rehashes_its_parts(sierp_garden):
-    fl = _enumerate_flowers(sierp_garden)[0][0]
+    fl = _enumerate_flowers(sierp_garden)[0]
     stale = Flower(fl.root, fl.stalk, fl.bloom)
     stale._hash = hash(fl) + 1    # as if hashed under another hash seed
     back = pickle.loads(pickle.dumps(stale))
@@ -92,7 +92,7 @@ def test_unpickled_flower_rehashes_its_parts(sierp_garden):
 
 
 def test_enumeration_matches_triple_scan(garden):
-    enumerated = _enumerate_flowers(garden)[0]
+    enumerated = _enumerate_flowers(garden)
     assert len(garden.bed.frame) > 16
     assert set(enumerated) == scanned_flowers(garden)
     assert len(set(enumerated)) == len(enumerated)
@@ -142,6 +142,21 @@ def test_harvest_images_match_successors(garden):
     assert_images_are_valued_successors(garden)
 
 
+@pytest.mark.parametrize("seed,live,candidates", [
+    ("medium:0", 41, 234), ("medium:5", 87, 686), ("medium:6", 112, 1344)])
+def test_one_successor_set_per_pattern(seed, live, candidates):
+    # _successor_images caches valued images by the successor set's id()
+    g = medium_garden(seed)
+    for succ, patterns in ((harvest(g).structure.succ, live),
+                           (flower_structure(g)["edges"], candidates)):
+        ids = {}
+        for fl, out in succ.items():
+            ids.setdefault((fl.stalk, fl.bloom.generator), set()).add(id(out))
+        assert len(ids) == patterns
+        assert {len(one) for one in ids.values()} == {1}
+        assert len({id(out) for out in succ.values()}) == patterns
+
+
 def test_harvest_successors_are_the_live_rooted_region(garden):
     plot = harvest(garden)
     survivors = plot.structure.nodes
@@ -161,9 +176,9 @@ def test_flower_record_matches_flower_structure(garden):
 
 
 def test_flower_record_counts_a_repeated_flower(sierp_garden, monkeypatch):
-    flowers, by_root = _enumerate_flowers(sierp_garden)
+    flowers = _enumerate_flowers(sierp_garden)
     monkeypatch.setattr(garden_mod, "_enumerate_flowers",
-                        lambda g: (flowers + flowers[:1], by_root))
+                        lambda g: flowers + flowers[:1])
     got = cli._flower_record(sierp_garden)
     assert not got["passed"]
     assert got["witness"] == ("duplicate", len(flowers) + 1, len(flowers))
