@@ -334,35 +334,39 @@ def _region(g, stalk, gen):
 
 
 def _transitions(g, flowers):
-    """The transition relation on a flower set, as a successor map.
+    """The transition relation on a flower set, as a TransitionStructure.
 
-    Each member steps to the members rooted in its region; flowers
-    sharing a stalk/bloom pattern share one successor set.
+    Each member steps to the members rooted in its region.  Those are
+    whole root classes, so the structure groups the members by root and
+    stores one root set per stalk/bloom pattern, shared by the pattern's
+    flowers: the roots of the region that root some member.
     """
     by_root = {}
     for fl in flowers:
         by_root.setdefault(fl.root, []).append(fl)
+    roots = frozenset(by_root)
     pattern = {}
     succ = {}
     for fl in flowers:
         key = (fl.stalk, fl.bloom.generator)
         s = pattern.get(key)
         if s is None:
-            s = frozenset(x for q in _region(g, *key)
-                          for x in by_root.get(q, ()))
+            s = _region(g, *key) & roots
             pattern[key] = s
         succ[fl] = s
-    return succ
+    return TransitionStructure(by_root, succ=succ)
 
 
 def flower_structure(g):
     """Every flower of the garden and the transition relation between them.
 
-    The relation is returned as a successor map; flowers sharing a
-    stalk/bloom pattern share one successor set.
+    The relation is returned as a successor map, node to frozenset of
+    flowers.  It reads _transitions' root sets, one per stalk/bloom
+    pattern, and expands a flower's successors only when they are read.
     """
     flowers = _enumerate_flowers(g)
-    return {"flowers": frozenset(flowers), "edges": _transitions(g, flowers)}
+    return {"flowers": frozenset(flowers),
+            "edges": _transitions(g, flowers).succ}
 
 
 def healthy_witness(g, flowers):
@@ -406,7 +410,10 @@ def harvest(g):
     there are at most |points| + 1 rounds.  The survivors, the flowers
     of the alive patterns, are checked once against the plain definition,
     healthy_witness, before the plot is assembled; a witness raises
-    PostconditionFailure.  Cached once per garden.
+    PostconditionFailure.  The plot's structure is _transitions' on the
+    survivors: flowers grouped by root, and one set of live roots per
+    alive pattern, expanded to flower edges only when read.  Cached once
+    per garden.
     """
     cached = g.__dict__.get("_harvest")
     if cached is not None:
@@ -443,10 +450,8 @@ def harvest(g):
     bad = healthy_witness(g, survivors)
     if bad is not None:
         raise PostconditionFailure("survivor %r at %r: %s" % bad)
-    structure = TransitionStructure(survivors,
-                                    succ=_transitions(g, survivors))
-    plot = Plot(structure, g.space, {fl: fl.root for fl in survivors},
-                _allow_unrooted=True)
+    plot = Plot(_transitions(g, survivors), g.space,
+                {fl: fl.root for fl in survivors}, _allow_unrooted=True)
     g.__dict__["_harvest"] = plot
     return plot
 

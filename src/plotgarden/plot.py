@@ -120,37 +120,63 @@ def compose_plot_maps(outer, inner):
 def _successor_images(plot):
     """Per node: the valuation image of its successor set.
 
+    A successor set is a union of node groups (see TransitionStructure),
+    so each group's image is computed once and each node's image is the
+    union of its groups' images, once per shared key set: for a harvest,
+    O(patterns x roots) rather than one walk over its flower edges.
     Computed once per plot and shared, as is each image among the nodes
-    whose successor sets are one object; callers must not mutate it.
+    that share a key set; callers must not mutate it.
     """
     cached = plot.__dict__.get("_successor_images")
     if cached is not None:
         return cached
     structure, valuation = plot.structure, plot.valuation
-    by_succ = {}
+    value = valuation.__getitem__
+    group_image = {k: frozenset(map(value, members))
+                   for k, members in structure.groups.items()}
+    by_keys = {}
     out = {}
-    for n in structure.nodes:
-        s = structure.succ[n]
-        key = id(s)
-        image = by_succ.get(key)
+    for n, keys in structure.steps.items():
+        image = by_keys.get(id(keys))
         if image is None:
-            image = frozenset(valuation[x] for x in s)
-            by_succ[key] = image
+            image = frozenset().union(*map(group_image.__getitem__, keys))
+            by_keys[id(keys)] = image
         out[n] = image
     plot.__dict__["_successor_images"] = out
     return out
 
 
+def _groups_are_fibres(plot):
+    """Whether the structure's node groups are exactly the valuation's
+    fibres, so that each successor set is the preimage of its image:
+    as many groups as valued points, and one value in each group."""
+    groups = plot.structure.groups
+    if len(groups) != len(plot.space.full) - len(plot.unrooted_points):
+        return False
+    valuation = plot.valuation
+    return all(len({valuation[x] for x in members}) == 1
+               for members in groups.values())
+
+
 def classify_plot_map(m):
     """Classify a candidate plot map.
 
-    Reports whether the square commutes (is_plot_map), and for genuine
-    plot maps whether each target transition out of an image node lands,
-    valued, below some valued source successor (up_condition), inside
-    every open neighbourhood's reach (minus_condition), and inside the
-    lens closure of the valued successor image (is_lentile).  The three
-    verdicts are computed along separate routes; lentile agrees with the
-    conjunction of the other two.
+    Reports whether the map is a plot map (is_plot_map): the square
+    commutes and every transition maps to a transition.  Where the
+    target's node groups are its valuation fibres, as a harvest's roots
+    are, the second holds at a node exactly when its valued successor
+    image, pushed through the point map, lies in its image node's valued
+    successor image, which costs a pass over the images; elsewhere, and
+    to find the witness, each edge is tested.  The witness is "square"
+    or "edge", a source edge whose image is no transition.
+
+    For genuine plot maps it reports whether each target transition out
+    of an image node lands, valued, below some valued source successor
+    (up_condition), inside every open neighbourhood's reach
+    (minus_condition), and inside the lens closure of the valued
+    successor image (is_lentile).  The three verdicts are computed along
+    separate routes; lentile agrees with the conjunction of the other
+    two.
     """
     src, tgt = m.source, m.target
     sigma, tau = src.valuation, tgt.valuation
@@ -163,13 +189,31 @@ def classify_plot_map(m):
             report["witnesses"]["square"] = n
             return report
 
+    src_img = _successor_images(src)
+    tgt_img = _successor_images(tgt)
+    phi_img = {}      # valued successor image -> its image in T
+
+    def pushed(W):
+        E = phi_img.get(W)
+        if E is None:
+            E = frozenset(phi[s] for s in W)
+            phi_img[W] = E
+        return E
+
+    fibred = _groups_are_fibres(tgt)
+    for P in src.structure.nodes:
+        if fibred and pushed(src_img[P]) <= tgt_img[Phi[P]]:
+            continue
+        out = tgt.structure.succ[Phi[P]]
+        lost = [R for R in src.structure.succ[P] if Phi[R] not in out]
+        if lost:
+            report["is_plot_map"] = False
+            report["witnesses"]["edge"] = (P, min(lost, key=str))
+            return report
+
     T = tgt.space
     order = T.specialization()
     opens = T.sorted_opens()
-    src_img = _successor_images(src)
-    tgt_img = _successor_images(tgt)
-
-    phi_img = {}      # source-point mask -> its image in T
     lens_memo = {}
     verdicts = {}     # (image set, target successor mask) -> (up, minus, lens, bad)
     up = minus = lentile = True
@@ -182,11 +226,7 @@ def classify_plot_map(m):
         raise AssertionError("witness vanished")
 
     for P in src.structure.nodes:
-        W = src_img[P]
-        E = phi_img.get(W)
-        if E is None:
-            E = frozenset(phi[s] for s in W)
-            phi_img[W] = E
+        E = pushed(src_img[P])
         W2 = tgt_img[Phi[P]]
         key = (E, W2)
         got = verdicts.get(key)
@@ -320,11 +360,12 @@ def _recheck_lift_nodewise(plot, box, diamond, fail):
     # table of empty opens passes; this also checks that each lifted open
     # is the largest such open.
     st, sigma, space = plot.structure, plot.valuation, plot.space
+    succ = dict(st.succ.items())     # expanded once, not once per open
     inv = {V: frozenset(n for n in st.nodes if sigma[n] in V)
            for V in space.opens}
     for U in space.opens:
-        box_nodes = frozenset(n for n in st.nodes if st.succ[n] <= inv[U])
-        dia_nodes = frozenset(n for n in st.nodes if st.succ[n] & inv[U])
+        box_nodes = frozenset(n for n in st.nodes if succ[n] <= inv[U])
+        dia_nodes = frozenset(n for n in st.nodes if succ[n] & inv[U])
         best_box = [V for V in space.opens if inv[V] <= box_nodes]
         best_dia = [V for V in space.opens if inv[V] <= dia_nodes]
         if frozenset().union(*best_box) != box[U]:

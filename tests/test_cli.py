@@ -83,6 +83,29 @@ def test_check_map(tmp_path, capsys):
     assert doc["classification"]["minus_condition"] is False
 
 
+def test_check_map_rejects_a_map_that_loses_a_transition(tmp_path, capsys):
+    # the identity from sierp onto flat drops the transition P -> Q
+    identity = [["P", "P"], ["Q", "Q"]]
+    drop = {"kind": "plot_map", "source": "sierp", "target": "flat",
+            "node_map": identity, "point_map": identity}
+    ws = tmp_path / "drop.ws"
+    ws.write_text(fixture_with(("maps", "drop"), drop))
+    report = tmp_path / "drop.json"
+    assert run_cli(["check-map", str(ws) + "#drop",
+                    "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "is_plot_map         False" in out
+    assert "witness[edge]: ('P', 'Q')" in out
+    doc = json.loads(report.read_text())
+    assert sorted(doc["classification"]) == [
+        "is_lentile", "is_plot_map", "minus_condition", "up_condition",
+        "witnesses"]
+    assert doc["classification"]["witnesses"] == {"edge": ["P", "Q"]}
+    assert run_cli(["verify", str(ws) + "#drop"]) == 0
+    out = capsys.readouterr().out
+    assert "not a lentile map" in out and "INTERNAL" not in out
+
+
 def test_lift_and_harvest(capsys):
     assert run_cli(["lift", ref("sierp")]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plotgarden import cli
-from plotgarden.garden import (Bed, BedAxiomViolation,
+from plotgarden.garden import (Bed, BedAxiomViolation, _enumerate_flowers,
+                               _region, _transitions,
                                CoveringNotFrameMorphism,
                                CoveringNotSurjective,
                                bed_violations, check_garden_morphism,
@@ -169,6 +170,34 @@ def test_harvest_prunes_past_the_first_round(seed, profile):
     assert set(plot.structure.nodes) < one_round(g)
     assert plot.unrooted_points
     assert oracle_harvest(g)["passed"]
+    assert all(r["passed"] for r in cli.law_suite("garden", g))
+
+
+def test_candidate_successors_skip_a_point_without_flowers(sierp_space):
+    # Q lies under every diamond, so it roots no flower, yet it lies in
+    # the region of (P;{};^{P,Q}): the stored root sets leave it out.
+    # (No garden of CASCADES has such a point, and no surviving pattern
+    # there has an unrooted point in its region.)
+    fr = topology_frame(sierp_space)
+    ident = {x: x for x in fr.elements}
+    g = validate_garden(Bed(fr, ident, {x: "{Q}" for x in fr.elements}),
+                        sierp_space, {"{}": [], "{Q}": ["Q"],
+                                      "{P,Q}": ["P", "Q"]})
+    flowers = _enumerate_flowers(g)
+    assert {fl.root for fl in flowers} == {"P"}
+    st = _transitions(g, flowers)
+    wide = [fl for fl in flowers
+            if "Q" in _region(g, fl.stalk, fl.bloom.generator)]
+    assert wide
+    for fl in wide:
+        assert st.steps[fl] == _region(g, fl.stalk, fl.bloom.generator) - {"Q"}
+    grown = flower_structure(g)
+    for fl in flowers:
+        region = _region(g, fl.stalk, fl.bloom.generator)
+        assert grown["edges"][fl] == frozenset(
+            s for s in flowers if s.root in region)
+    assert oracle_flowers(g)["passed"] and oracle_harvest(g)["passed"]
+    assert harvest(g).unrooted_points == frozenset(["Q"])
     assert all(r["passed"] for r in cli.law_suite("garden", g))
 
 

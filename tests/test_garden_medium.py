@@ -14,12 +14,13 @@ import pytest
 from plotgarden import cli
 from plotgarden import garden as garden_mod
 from plotgarden import oracles
-from plotgarden.garden import (Flower, _enumerate_flowers, flower_structure,
-                               harvest, point_filters)
+from plotgarden.garden import (Flower, _enumerate_flowers, _region,
+                               flower_structure, harvest, point_filters)
 from plotgarden.generators import parse_profile, random_plot
 from plotgarden.lattice import Filter
 from plotgarden.oracles import oracle_flowers, oracle_harvest
 from plotgarden.plot import _successor_images, functor_G_object
+from plotgarden.transition import TransitionStructure
 from plotgarden.workspace import parse_workspace
 
 MEDIUM = parse_profile("nodes=16,points=8")
@@ -121,8 +122,8 @@ def fixture_gardens():
 
 
 def assert_images_are_valued_successors(g):
-    # harvest plots share one successor set among a pattern's flowers,
-    # which the image cache keys on
+    # harvest plots share one root set among a pattern's flowers, which
+    # the image cache keys on
     plot = harvest(g)
     images = _successor_images(plot)
     assert set(images) == set(plot.structure.nodes)
@@ -142,19 +143,56 @@ def test_harvest_images_match_successors(garden):
     assert_images_are_valued_successors(garden)
 
 
+def candidate_structure(g):
+    """The transition structure flower_structure reads its edges from."""
+    return garden_mod._transitions(g, _enumerate_flowers(g))
+
+
 @pytest.mark.parametrize("seed,live,candidates", [
     ("medium:0", 41, 234), ("medium:5", 87, 686), ("medium:6", 112, 1344)])
-def test_one_successor_set_per_pattern(seed, live, candidates):
-    # _successor_images caches valued images by the successor set's id()
+def test_one_root_set_per_pattern(seed, live, candidates):
+    # each pattern stores one set of roots, shared by its flowers, which
+    # _successor_images keys on; flower edges exist only when read
     g = medium_garden(seed)
-    for succ, patterns in ((harvest(g).structure.succ, live),
-                           (flower_structure(g)["edges"], candidates)):
+    points = len(g.space.points)
+    for st, patterns in ((harvest(g).structure, live),
+                         (candidate_structure(g), candidates)):
+        assert set(st.groups) <= g.space.full
         ids = {}
-        for fl, out in succ.items():
-            ids.setdefault((fl.stalk, fl.bloom.generator), set()).add(id(out))
+        for fl, keys in st.steps.items():
+            ids.setdefault((fl.stalk, fl.bloom.generator), set()).add(id(keys))
         assert len(ids) == patterns
         assert {len(one) for one in ids.values()} == {1}
-        assert len({id(out) for out in succ.values()}) == patterns
+        stored = {id(keys): keys for keys in st.steps.values()}
+        assert len(stored) == patterns
+        size = sum(len(keys) for keys in stored.values())
+        assert size <= patterns * points
+        edges = sum(len(st.groups[q]) for keys in st.steps.values()
+                    for q in keys)
+        assert edges > 100 * size
+
+
+def assert_patterns_expand_to_their_regions(g, st):
+    live = frozenset(st.groups)
+    by_root = {}
+    for fl in st.nodes:
+        by_root.setdefault(fl.root, set()).add(fl)
+    assert live == frozenset(by_root)
+    seen = set()
+    for fl in st.nodes:
+        key = (fl.stalk, fl.bloom.generator)
+        if key in seen:
+            continue
+        seen.add(key)
+        region = _region(g, *key)
+        assert st.steps[fl] == region & live
+        assert st.succ[fl] == frozenset(
+            s for q in region for s in by_root.get(q, ()))
+
+
+def test_every_pattern_expands_to_its_region(garden):
+    assert_patterns_expand_to_their_regions(garden, harvest(garden).structure)
+    assert_patterns_expand_to_their_regions(garden, candidate_structure(garden))
 
 
 def test_harvest_successors_are_the_live_rooted_region(garden):
@@ -167,6 +205,24 @@ def test_harvest_successors_are_the_live_rooted_region(garden):
         reach = region & live_roots
         expected = frozenset(s for s in survivors if s.root in reach)
         assert plot.structure.succ[fl] == expected
+
+
+def test_equal_harvests_compare_without_expanding(monkeypatch):
+    one = harvest(medium_garden("medium:5")).structure
+    other = harvest(medium_garden("medium:5")).structure
+    assert one is not other and one.groups is not other.groups
+    edges = one.edges
+    monkeypatch.setattr(type(one.succ), "__getitem__", refuse_expansion)
+    assert one == other
+    monkeypatch.undo()
+    assert other.edges == edges
+    explicit = TransitionStructure(one.nodes, edges=edges)
+    assert explicit == one and one == explicit
+    assert TransitionStructure(one.nodes, edges=edges[1:]) != one
+
+
+def refuse_expansion(succ, n):
+    raise AssertionError("successors of %r expanded" % (n,))
 
 
 def test_flower_record_matches_flower_structure(garden):

@@ -1,10 +1,13 @@
 """Reports stay byte for byte what they were.
 
-Each digest is the SHA-256 of a JSON report written by the CLI, taken
-before the law checks were reorganised so that each law is defined and
-checked once.  Reports do not depend on PYTHONHASHSEED, so a changed
-digest means a changed report: a law, a witness, a record order or the
-format moved.
+Each digest in GOLDEN is the SHA-256 of a JSON report written by the
+CLI, taken before the law checks were reorganised so that each law is
+defined and checked once.  Each digest in PRINTED is the SHA-256 of what
+a command prints, taken before the harvest stored its successors as root
+sets: the harvest table is read back from those root sets.  Reports do
+not depend on PYTHONHASHSEED, so a changed digest means a changed
+report: a law, a witness, a record order, a successor set or the format
+moved.
 """
 
 import hashlib
@@ -48,3 +51,18 @@ def test_report_digest(argv, digest, tmp_path, monkeypatch, capsys):
     assert run_cli(argv + ["--report", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+PRINTED = [
+    (["harvest", "fixtures.ws#sierp_garden"],
+     "f2a8e7500921ff549060448c7962fe40494afd77f7ddcf67bd280b411da23f05"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PRINTED,
+                         ids=[" ".join(argv) for argv, _ in PRINTED])
+def test_printed_digest(argv, digest, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert run_cli(argv) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode()).hexdigest() == digest

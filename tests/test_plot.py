@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plotgarden.plot import (NotLentile, Plot, PlotError, ValuationNotTotal,
-                             ValuationNotSurjective, _recheck_lift_nodewise,
+                             ValuationNotSurjective, _groups_are_fibres,
+                             _recheck_lift_nodewise,
                              classify_plot_map, compose_plot_maps,
                              functor_G_arrow, functor_G_object,
                              identity_plot_map, lift_operators)
@@ -113,6 +114,62 @@ def test_classify_square_failure(sierp_space, sierp_plot):
     verdict = classify_plot_map(broken)
     assert not verdict["is_plot_map"]
     assert verdict["witnesses"]["square"] == "a"
+
+
+def test_classify_lost_transition(sierp_space, sierp_plot):
+    # the harvest's node groups are its valuation fibres, so preservation
+    # is read off the valued images; its explicit copy is tested edge by
+    # edge, with the same verdict
+    unit = geometric_unit(sierp_plot)
+    harvested = unit.target
+    copy = Plot(TransitionStructure(harvested.structure.nodes,
+                                    edges=harvested.structure.edges),
+                sierp_space, harvested.valuation)
+    assert copy.structure == harvested.structure
+    assert _groups_are_fibres(harvested) and not _groups_are_fibres(copy)
+    backwards = build_plot(["P", "Q"], [("Q", "P")], sierp_space,
+                           {"P": "P", "Q": "Q"})
+    identity = {"P": "P", "Q": "Q"}
+    for target in (harvested, copy):
+        kept = classify_plot_map(build_map(sierp_plot, target,
+                                           unit.node_map.mapping, identity))
+        assert kept == classify_plot_map(unit)
+        assert kept["is_plot_map"] and kept["is_lentile"]
+        lost = classify_plot_map(build_map(backwards, target,
+                                           unit.node_map.mapping, identity))
+        assert not lost["is_plot_map"]
+        assert lost["is_lentile"] is None
+        assert lost["witnesses"] == {"edge": ("Q", "P")}
+
+
+def test_classify_lost_transition_within_a_fibre(point_space):
+    # Q and R share the one point, so their valued images cannot tell
+    # that P -> P goes to Q -> Q, which is no transition
+    source = build_plot(["P"], [("P", "P")], point_space, {"P": "s"})
+    target = build_plot(["Q", "R"], [("Q", "R")], point_space,
+                        {"Q": "s", "R": "s"})
+    assert not _groups_are_fibres(target)
+    verdict = classify_plot_map(build_map(source, target, {"P": "Q"},
+                                          {"s": "s"}))
+    assert not verdict["is_plot_map"]
+    assert verdict["witnesses"] == {"edge": ("P", "P")}
+
+
+def test_classify_lost_transition_in_a_group_that_is_no_fibre(sierp_space):
+    # as many groups as points, but group x holds a node at each point,
+    # so a's successor c stands for all of Q and the images cannot tell
+    # that u -> v goes to a -> b, which is no transition
+    target = Plot(TransitionStructure({"x": ["a", "b"], "y": ["c"]},
+                                      succ={"a": {"y"}}),
+                  sierp_space, {"a": "P", "b": "Q", "c": "Q"})
+    assert not _groups_are_fibres(target)
+    source = build_plot(["u", "v"], [("u", "v")], sierp_space,
+                        {"u": "P", "v": "Q"})
+    verdict = classify_plot_map(build_map(source, target,
+                                          {"u": "a", "v": "b"},
+                                          {"P": "P", "Q": "Q"}))
+    assert not verdict["is_plot_map"]
+    assert verdict["witnesses"] == {"edge": ("u", "v")}
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,6 +23,34 @@ def test_structure_normalizes_and_validates():
         TransitionStructure(["a"], edges=[("a", "zz")])
 
 
+def test_grouped_structure_expands_its_groups():
+    # a and b form group x, c group y: successor sets are unions of groups
+    grouped = TransitionStructure({"x": ["a", "b"], "y": ["c"]},
+                                  succ={"a": {"y"}, "b": {"x", "y"}})
+    assert grouped.nodes == ("a", "b", "c")
+    assert grouped.steps["c"] == frozenset()
+    assert grouped.succ["a"] == frozenset(["c"])
+    assert grouped.successors("b") == frozenset(["a", "b", "c"])
+    assert grouped.succ["c"] == frozenset()
+    assert grouped.edges == (("a", "c"), ("b", "a"), ("b", "b"), ("b", "c"))
+    assert repr(grouped) == "TransitionStructure(3 nodes, 4 edges)"
+    by_edges = TransitionStructure({"x": ["a", "b"], "y": ["c"]},
+                                   edges=[("a", "y"), ("b", "x"), ("b", "y")])
+    assert by_edges == grouped
+    explicit = TransitionStructure(grouped.nodes, edges=grouped.edges)
+    assert explicit == grouped and grouped == explicit
+    assert explicit.succ == grouped.succ
+    assert TransitionStructure(grouped.nodes,
+                               edges=grouped.edges[1:]) != grouped
+    for bad in ({"x": ["a"], "y": ["a"]}, {"x": ["a"], "y": []}):
+        with pytest.raises(ValueError):
+            TransitionStructure(bad, succ={})
+    with pytest.raises(ValueError):
+        TransitionStructure({"x": ["a"]}, succ={"a": {"a"}})
+    with pytest.raises(ValueError):
+        TransitionStructure({"x": ["a"]}, edges=[("a", "a")])
+
+
 def test_operators_match_definitions():
     for i in range(30):
         st = random_structure("ops:%d" % i)
