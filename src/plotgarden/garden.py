@@ -40,12 +40,11 @@ class Bed:
         self.frame = frame
         self.box = dict(box)
         self.diamond = dict(diamond)
-        elems = frozenset(frame.elements)
         for table, label in ((self.box, "box"), (self.diamond, "diamond")):
             for x in frame.elements:
                 if x not in table:
                     raise GardenError("%s has no value at %r" % (label, x))
-                if table[x] not in elems:
+                if table[x] not in frame.mask:
                     raise GardenError("%s(%r)=%r is not an element"
                                       % (label, x, table[x]))
 
@@ -74,20 +73,23 @@ def bed_violations(bed):
 
 def _bed_law_witnesses(bed):
     fr = bed.frame
+    mask = fr.mask
     out = []
     if bed.box[fr.top] != fr.top:
         out.append(("box-top", "box(%r)=%r" % (fr.top, bed.box[fr.top])))
+    rows = [(x, mask[x], mask[bed.box[x]], mask[bed.diamond[x]])
+            for x in fr.elements]
+    box = {m: b for _, m, b, _ in rows}
+    diamond = {m: d for _, m, _, d in rows}
     meet_w = mono_w = mixed_w = None
-    for x in fr.elements:
-        for y in fr.elements:
-            m = fr.meet(x, y)
-            if meet_w is None and bed.box[m] != fr.meet(bed.box[x], bed.box[y]):
+    for x, mx, bx, dx in rows:
+        for y, my, by, dy in rows:
+            m = mx & my
+            if meet_w is None and box[m] != bx & by:
                 meet_w = "x=%r y=%r" % (x, y)
-            if mono_w is None and fr.le(x, y) and not fr.le(
-                    bed.diamond[x], bed.diamond[y]):
+            if mono_w is None and m == mx and dx & dy != dx:
                 mono_w = "x=%r y=%r" % (x, y)
-            if mixed_w is None and not fr.le(
-                    fr.meet(bed.box[x], bed.diamond[y]), bed.diamond[m]):
+            if mixed_w is None and bx & dy & ~diamond[m]:
                 mixed_w = "x=%r y=%r" % (x, y)
     if meet_w:
         out.append(("box-meet", meet_w))
@@ -309,10 +311,10 @@ def _enumerate_flowers(g):
     flowers = []
     for p in g.space.points:
         pf = point_filters(g, p)
-        gens = sorted(fr.down(pf["pbb"].generator), key=str)
-        for a in sorted(pf["pdd"], key=str):
-            for c in gens:
-                flowers.append(Flower(p, a, Filter(fr, c)))
+        blooms = [Filter(fr, c)
+                  for c in sorted(fr.down(pf["pbb"].generator), key=str)]
+        flowers += [Flower(p, a, bloom)
+                    for a in sorted(pf["pdd"], key=str) for bloom in blooms]
     return flowers
 
 
@@ -377,18 +379,19 @@ def healthy_witness(g, flowers):
     transition that stays inside the set.  Harvest checks its survivors
     with this plain definition.
     """
-    fr = g.bed.frame
-    roots = frozenset(fl.root for fl in flowers)
+    mask = g.bed.frame.mask
+    alpha = {x: g.top_frame.mask[g.covering(x)] for x in mask}
+    roots = sum(map(g.top_frame.bit.__getitem__, {fl.root for fl in flowers}))
     passed = set()  # a member's health depends on its stalk and bloom only
     for fl in sorted(flowers, key=repr):
         a, c = fl.stalk, fl.bloom.generator
         if (a, c) in passed:
             continue
-        W = _region(g, a, c) & roots
-        for x in fr.elements:
-            if not fr.le(c, x) and W <= g.alpha(x):
+        W = alpha[c] & ~alpha[a] & roots
+        for x, mx in mask.items():
+            if mask[c] & mx != mask[c] and W & alpha[x] == W:
                 return (fl, x, "no transition escapes it")
-            if not fr.le(x, a) and not (g.alpha(x) & W):
+            if mask[a] & mx != mx and not alpha[x] & W:
                 return (fl, x, "no transition reaches it")
         passed.add((a, c))
     return None
@@ -406,8 +409,10 @@ def harvest(g):
     every pattern alive and every candidate root live at the start, each
     round keeps the alive patterns that are healthy against the live
     roots and takes their flowers' roots as the new live roots, until a
-    round keeps every live root.  A dead pattern is never rechecked, and
-    there are at most |points| + 1 rounds.  The survivors, the flowers
+    round keeps every live root.  Root sets are point masks, the patterns
+    of one region are judged together, and the health bounds of a live
+    set are folded once.  A dead pattern is never rechecked, and there are
+    at most |points| + 1 rounds.  The survivors, the flowers
     of the alive patterns, are checked once against the plain definition,
     healthy_witness, before the plot is assembled; a witness raises
     PostconditionFailure.  The plot's structure is _transitions' on the
@@ -419,34 +424,38 @@ def harvest(g):
     if cached is not None:
         return cached
     fr = g.bed.frame
+    mask = fr.mask
+    alpha = {x: g.top_frame.mask[g.covering(x)] for x in mask}
+    bit = g.top_frame.bit
     flowers = _enumerate_flowers(g)
-    roots_of = {}  # stalk/bloom pattern -> roots of its flowers
+    roots_of = {}  # stalk/bloom pattern -> mask of its flowers' roots
     for fl in flowers:
-        roots_of.setdefault((fl.stalk, fl.bloom.generator), set()).add(fl.root)
-    bounds = {}  # live reachable root set -> (meet, join) health bounds
-
-    def healthy(stalk, gen, W):
-        got = bounds.get(W)
-        if got is None:
-            m = fr.meet_all(x for x in fr.elements if W <= g.alpha(x))
-            M = fr.join_all(x for x in fr.elements if not (g.alpha(x) & W))
-            got = (m, M)
-            bounds[W] = got
-        m, M = got
-        return fr.le(gen, m) and fr.le(M, stalk)
-
-    alive = {key: _region(g, *key) for key in roots_of}
-    live = frozenset(fl.root for fl in flowers)
+        key = (fl.stalk, fl.bloom.generator)
+        roots_of[key] = roots_of.get(key, 0) | bit[fl.root]
+    alive = {}  # region mask -> [(stalk mask, bloom mask, pattern)] alive in it
+    for a, c in roots_of:
+        alive.setdefault(alpha[c] & ~alpha[a], []).append((mask[a], mask[c], (a, c)))
+    bounds = {}  # mask of live reachable roots -> (meet, join) health bounds
+    live = sum(bit[p] for p in {fl.root for fl in flowers})
     while True:
-        alive = {key: region for key, region in alive.items()
-                 if healthy(*key, region & live)}
-        kept = frozenset().union(*(roots_of[key] for key in alive))
+        kept = 0
+        for region, patterns in alive.items():
+            W = region & live
+            if W not in bounds:
+                bounds[W] = (mask[fr.meet_all(x for x in mask if W & alpha[x] == W)],
+                             mask[fr.join_all(x for x in mask if not alpha[x] & W)])
+            m, M = bounds[W]
+            patterns[:] = [(a, c, key) for a, c, key in patterns
+                           if c & m == c and M & a == M]
+            for _, _, key in patterns:
+                kept |= roots_of[key]
         if kept == live:
             break
         live = kept
 
+    healthy = {key for patterns in alive.values() for _, _, key in patterns}
     survivors = [fl for fl in flowers
-                 if (fl.stalk, fl.bloom.generator) in alive]
+                 if (fl.stalk, fl.bloom.generator) in healthy]
     bad = healthy_witness(g, survivors)
     if bad is not None:
         raise PostconditionFailure("survivor %r at %r: %s" % bad)

@@ -306,7 +306,7 @@ def _rebuild_plot_map(m, new_target=None, drop_src_node=None,
 def _plot_map_candidates(m):
     for n in m.source.structure.nodes:
         yield lambda m=m, n=n: _rebuild_plot_map(m, drop_src_node=n)
-    for e in sorted(m.source.structure.edges):
+    for e in m.source.structure.edges:
         yield lambda m=m, e=e: _rebuild_plot_map(m, drop_src_edge=e)
     image = set(m.node_map.mapping.values())
     for t in m.target.structure.nodes:
@@ -314,7 +314,7 @@ def _plot_map_candidates(m):
             yield (lambda m=m, t=t:
                    _rebuild_plot_map(m, new_target=_rebuild_plot(
                        m.target, drop_node=t)))
-    for e in sorted(m.target.structure.edges):
+    for e in m.target.structure.edges:
         yield (lambda m=m, e=e:
                _rebuild_plot_map(m, new_target=_rebuild_plot(
                    m.target, drop_edge=e)))

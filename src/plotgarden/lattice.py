@@ -3,11 +3,15 @@
 A finite frame is a finite distributive lattice: a partial order in which
 every pair has a meet and a join, with a bottom and a top, such that meet
 distributes over join.  Elements are opaque hashable identifiers (strings
-in serialized form).  Meets and joins are precomputed into tables at
-validation time so that every downstream check is a table lookup.
+in serialized form), and each is held as an int mask, so that meet, join
+and order are &, | and inclusion.  By Birkhoff's representation theorem
+every finite distributive lattice is a lattice of sets (of its
+join-irreducibles), so one encoding serves every frame.
 """
 
+import functools
 import itertools
+import operator
 
 
 class LatticeError(ValueError):
@@ -35,44 +39,45 @@ class NotAFilter(LatticeError):
 
 
 class FiniteFrame:
-    """A finite distributive lattice with precomputed meet/join tables.
+    """A finite distributive lattice whose elements are held as int masks.
 
-    Use validate_frame to construct one from an element set and an order
-    relation; the constructor trusts its arguments.
+    mask sends each element, in order, to an int and element is its
+    inverse: meet is &, join is |, the order is inclusion, the bottom's
+    mask is 0 and the top's the largest.  A topology frame's masks are
+    its opens' point sets; validate_frame's are the join-irreducibles
+    below each element (Birkhoff).  The constructor trusts its arguments.
     """
 
-    def __init__(self, elements, up, meet, join, bottom, top):
-        self.elements = tuple(elements)
-        self._up = up          # element -> frozenset of elements above it (inclusive)
-        self._meet = meet      # (a, b) -> element
-        self._join = join
-        self.bottom = bottom
-        self.top = top
-        self._index = {e: i for i, e in enumerate(self.elements)}
+    def __init__(self, mask, up=()):
+        self.elements = tuple(mask)
+        self.mask = mask
+        self.element = {m: x for x, m in mask.items()}
+        self.bottom = self.element[0]
+        self.top = self.element[max(self.element)]
+        self._up = dict(up)    # element -> its upper section, filled on demand
 
     def le(self, a, b):
-        return b in self._up[a]
+        m = self.mask[a]
+        return m & self.mask[b] == m
 
     def meet(self, a, b):
-        return self._meet[(a, b)]
+        return self.element[self.mask[a] & self.mask[b]]
 
     def join(self, a, b):
-        return self._join[(a, b)]
+        return self.element[self.mask[a] | self.mask[b]]
 
     def meet_all(self, xs):
-        out = self.top
-        for x in xs:
-            out = self._meet[(out, x)]
-        return out
+        return self.element[functools.reduce(
+            operator.and_, map(self.mask.__getitem__, xs), self.mask[self.top])]
 
     def join_all(self, xs):
-        out = self.bottom
-        for x in xs:
-            out = self._join[(out, x)]
-        return out
+        return self.element[functools.reduce(
+            operator.or_, map(self.mask.__getitem__, xs), 0)]
 
     def up(self, a):
         """The upper section of a: every element above it, a included."""
+        if a not in self._up:
+            self._up[a] = frozenset(x for x in self.elements if self.le(a, x))
         return self._up[a]
 
     def down(self, a):
@@ -81,21 +86,23 @@ class FiniteFrame:
     def __len__(self):
         return len(self.elements)
 
-    def __eq__(self, other):
+    def __eq__(self, other):    # the same elements and order, any masks
         if not isinstance(other, FiniteFrame):
             return NotImplemented
-        return self.elements == other.elements and self._up == other._up
+        return self.elements == other.elements and (self.mask == other.mask or all(
+            self.up(a) == other.up(a) for a in self.elements))
 
     def __repr__(self):
         return "FiniteFrame(%d elements)" % len(self.elements)
 
 
 def validate_frame(elements, leq):
-    """Check that (elements, leq) is a finite frame and build its tables.
+    """Check that (elements, leq) is a finite frame and build its masks.
 
     leq is an iterable of ordered pairs and must already be reflexive and
     transitive.  Raises NotAPoset, NotALattice, or FrameLawViolation with
-    a witness; returns a FiniteFrame otherwise.
+    a witness; returns a FiniteFrame otherwise, whose mask of x holds the
+    position bits of the join-irreducibles below x.
     """
     elements = tuple(sorted(set(elements), key=str))
     if not elements:
@@ -116,41 +123,31 @@ def validate_frame(elements, leq):
             if (b, c) in pairs and (a, c) not in pairs:
                 raise NotAPoset("not transitive via %r" % ((a, b, c),))
 
+    # the meet (join) of a pair is the element whose down-set (up-set) is
+    # the pair's common lower (upper) bounds; bottom and top then exist
     up = {a: frozenset(b for b in elements if (a, b) in pairs) for a in elements}
     down = {a: frozenset(b for b in elements if (b, a) in pairs) for a in elements}
-
-    def extremum(candidates, bounds, kind, a, b):
-        # greatest element of candidates when bounds=down, least when bounds=up
-        best = None
-        for m in candidates:
-            if all(x in bounds[m] for x in candidates):
-                best = m
-                break
-        if best is None:
-            raise NotALattice("pair %r has no %s" % ((a, b), kind))
-        return best
-
-    meet, join = {}, {}
+    below, above = ({s: a for a, s in sets.items()} for sets in (down, up))
     for a, b in itertools.product(elements, repeat=2):
-        lower = down[a] & down[b]
-        meet[(a, b)] = extremum(lower, down, "meet", a, b)
-        upper = up[a] & up[b]
-        join[(a, b)] = extremum(upper, up, "join", a, b)
+        for kind, sets, owner in (("meet", down, below), ("join", up, above)):
+            if sets[a] & sets[b] not in owner:
+                raise NotALattice("pair %r has no %s" % ((a, b), kind))
 
-    bottom = extremum(frozenset(elements), up, "bottom", "all", "all")
-    top = extremum(frozenset(elements), down, "top", "all", "all")
-
-    frame = FiniteFrame(elements, up, meet, join, bottom, top)
-    # finite distributivity: the binary law plus a ^ bottom = bottom (automatic)
-    # implies the full frame law
+    # x is join-irreducible when those strictly below x have a greatest one.
+    # Unions of these masks are masks exactly when the lattice distributes.
+    irreducible = [x for x in elements if down[x] - {x} in below]
+    frame = FiniteFrame({a: sum(1 << i for i, x in enumerate(irreducible)
+                                if x in down[a]) for a in elements}, up)
+    masks = frame.element
+    if all(m | n in masks for m in masks for n in masks):
+        return frame
     for a, x, y in itertools.product(elements, repeat=3):
-        lhs = meet[(a, join[(x, y)])]
-        rhs = join[(meet[(a, x)], meet[(a, y)])]
+        lhs = frame.meet(a, above[up[x] & up[y]])
+        rhs = above[up[frame.meet(a, x)] & up[frame.meet(a, y)]]
         if lhs != rhs:
             raise FrameLawViolation(
                 "a=%r x=%r y=%r: a^(xvy)=%r but (a^x)v(a^y)=%r"
                 % (a, x, y, lhs, rhs))
-    return frame
 
 
 class FrameMorphism:
@@ -186,19 +183,21 @@ def check_frame_morphism(mapping, source, target):
     for a in source.elements:
         if a not in f:
             raise TargetElementUnknown("no image for source element %r" % (a,))
-        if f[a] not in target._index:
+        if f[a] not in target.mask:
             raise TargetElementUnknown("image %r of %r not in target" % (f[a], a))
     violations = []
     if f[source.top] != target.top:
         violations.append(("top", source.top))
     if f[source.bottom] != target.bottom:
         violations.append(("bottom", source.bottom))
-    for law, table_s, table_t in (("meet", source._meet, target._meet),
-                                  ("join", source._join, target._join)):
-        for a, b in itertools.product(source.elements, repeat=2):
-            if f[table_s[(a, b)]] != table_t[(f[a], f[b])]:
-                violations.append((law, (a, b)))
-                break
+    # each source element with its mask and its image's mask
+    rows = [(a, m, target.mask[f[a]]) for a, m in source.mask.items()]
+    image_of = {m: i for _, m, i in rows}
+    for law, op in (("meet", operator.and_), ("join", operator.or_)):
+        bad = next(((a, b) for a, m, i in rows for b, n, j in rows
+                    if image_of[op(m, n)] != op(i, j)), None)
+        if bad:
+            violations.append((law, bad))
     image = set(f.values())
     return {
         "is_frame_morphism": not violations,
@@ -214,10 +213,9 @@ def right_adjoint(f):
     f(b) <= a  iff  b <= f_*(a) for every a, b.
     """
     src, tgt = f.source, f.target
-    table = {}
-    for a in tgt.elements:
-        table[a] = src.join_all(b for b in src.elements if tgt.le(f(b), a))
-    return table
+    image = {b: tgt.mask[f(b)] for b in src.elements}
+    return {a: src.join_all(b for b, fb in image.items() if fb & m == fb)
+            for a, m in tgt.mask.items()}
 
 
 class Filter:
@@ -275,9 +273,9 @@ def filter_images(f, filt, direction):
     if direction == "direct":
         tgt = f.target
         gen = f(filt.generator)
+        images = {tgt.mask[f(x)] for x in filt.members()}
         closure = frozenset(
-            y for y in tgt.elements
-            if any(tgt.le(f(x), y) for x in filt.members()))
+            y for y, m in tgt.mask.items() if any(i & m == i for i in images))
         if tgt.up(gen) != closure:
             raise NotAFilter("direct image not principal at %r" % (gen,))
         return Filter(tgt, gen)

@@ -40,7 +40,11 @@ def oracle_filters(frame):
         for y in frame.up(x):
             m |= 1 << idx[y]
         up_mask.append(m)
-    meet_idx = {(i, j): idx[frame.meet(els[i], els[j])]
+    # the meet of i and j owns the down-set of their common lower bounds
+    down = [sum(1 << k for k, m in enumerate(up_mask) if m >> i & 1)
+            for i in range(len(els))]
+    owner = {m: i for i, m in enumerate(down)}
+    meet_idx = {(i, j): owner[down[i] & down[j]]
                 for i in range(len(els)) for j in range(len(els))}
     top_bit = 1 << idx[frame.top]
 
@@ -186,15 +190,14 @@ def oracle_harvest(g):
     live = _scanned_flowers(g)
 
     def healthy(fl, roots):
+        # gen <= meet{x : W <= alpha(x)} and join{x : alpha(x) misses W}
+        # <= stalk, by what meet and join mean: gen is below each such x
+        # and the stalk above each, as the up sets say
         region = g.alpha(fl.bloom.generator) - g.alpha(fl.stalk)
         W = region & roots
-        m = frame.meet_all(sorted(x for x in frame.elements
-                                  if W <= g.alpha(x)))
-        if not frame.le(fl.bloom.generator, m):
-            return False
-        M = frame.join_all(sorted(x for x in frame.elements
-                                  if not g.alpha(x) & W))
-        return frame.le(M, fl.stalk)
+        return all((x in frame.up(fl.bloom.generator) or not W <= g.alpha(x))
+                   and (fl.stalk in frame.up(x) or g.alpha(x) & W)
+                   for x in frame.elements)
 
     while True:
         roots = frozenset(fl.root for fl in live)

@@ -304,7 +304,7 @@ def lift_operators(plot):
         return cached
     space = plot.space
     frame = topology_frame(space)
-    name = frame.open_names
+    opens = frame.mask                  # open name -> its point mask
     st = plot.structure
     sigma = plot.valuation
     node_img = _successor_images(plot)
@@ -312,38 +312,33 @@ def lift_operators(plot):
     imgs_by_point = {p: set() for p in space.points}
     for n in st.nodes:
         imgs_by_point[sigma[n]].add(node_img[n])
-    cup = {p: frozenset().union(*imgs_by_point[p]) for p in space.points}
+    # per point: its bit and the point masks of its nodes' images
+    points = [(frame.bit[p], {sum(map(frame.bit.__getitem__, W)) for W in imgs})
+              for p, imgs in imgs_by_point.items()]
 
-    opens = space.sorted_opens()
-    box, diamond = {}, {}      # open -> its lifted open
-    eligible_box, eligible_diamond = {}, {}
-    for U in opens:
-        BU = frozenset(p for p in space.points if cup[p] <= U)
-        DU = frozenset(p for p in space.points
-                       if all(m & U for m in imgs_by_point[p]))
-        eligible_box[U] = BU
-        eligible_diamond[U] = DU
-        box[U] = space.interior(BU)
-        diamond[U] = space.interior(DU)
+    # open name -> its lifted open's name, and -> the eligible point masks
+    box, diamond, eligible = {}, {}, {}
+    for U, u in opens.items():
+        eligible[U] = (sum(b for b, ms in points if all(m & u == m for m in ms)),
+                       sum(b for b, ms in points if all(m & u for m in ms)))
+        box[U], diamond[U] = (frame.join_all(V for V, v in opens.items()
+                                             if v & E == v) for E in eligible[U])
 
     def fail(msg):
         raise PostconditionFailure("lift_operators on %r: %s" % (plot, msg))
 
-    for U in opens:
-        boxU, diaU = box[U], diamond[U]
-        for V in opens:
-            if (V <= eligible_box[U]) != (V <= boxU):
-                fail("box biconditional fails at U=%s V=%s"
-                     % (name[U], name[V]))
-            if (V <= eligible_diamond[U]) != (V <= diaU):
-                fail("diamond biconditional fails at U=%s V=%s"
-                     % (name[U], name[V]))
+    for U, (BU, DU) in eligible.items():
+        boxU, diaU = opens[box[U]], opens[diamond[U]]
+        for V, v in opens.items():
+            if (v & BU == v) != (v & boxU == v):
+                fail("box biconditional fails at U=%s V=%s" % (U, V))
+            if (v & DU == v) != (v & diaU == v):
+                fail("diamond biconditional fails at U=%s V=%s" % (U, V))
 
     if len(st.nodes) <= 64 and len(opens) <= 64:
-        _recheck_lift_nodewise(plot, box, diamond, fail)
+        _recheck_lift_nodewise(plot, frame, box, diamond, fail)
 
-    bed = garden_mod.Bed(frame, {name[U]: name[box[U]] for U in opens},
-                         {name[U]: name[diamond[U]] for U in opens})
+    bed = garden_mod.Bed(frame, box, diamond)
     lifted = LiftedBed(bed, space, plot.surjective)
     broken = garden_mod._lift_violations(lifted)
     if broken:
@@ -352,26 +347,26 @@ def lift_operators(plot):
     return lifted
 
 
-def _recheck_lift_nodewise(plot, box, diamond, fail):
+def _recheck_lift_nodewise(plot, frame, box, diamond, fail):
     # Small instances: recompute every lifted open from the raw definitions,
     # apart from the point caches the lift is computed with.  Kept beside
     # LAW.220J on purpose: that law checks only that the lift is lax
     # (sigma(n) in box(U) implies n's successors are valued in U), which a
     # table of empty opens passes; this also checks that each lifted open
-    # is the largest such open.
-    st, sigma, space = plot.structure, plot.valuation, plot.space
+    # is the largest such open.  box and diamond name the lifted opens.
+    st, sigma, opens = plot.structure, plot.valuation, frame.open_sets
     succ = dict(st.succ.items())     # expanded once, not once per open
     inv = {V: frozenset(n for n in st.nodes if sigma[n] in V)
-           for V in space.opens}
-    for U in space.opens:
+           for V in opens.values()}
+    for name, U in opens.items():
         box_nodes = frozenset(n for n in st.nodes if succ[n] <= inv[U])
         dia_nodes = frozenset(n for n in st.nodes if succ[n] & inv[U])
-        best_box = [V for V in space.opens if inv[V] <= box_nodes]
-        best_dia = [V for V in space.opens if inv[V] <= dia_nodes]
-        if frozenset().union(*best_box) != box[U]:
-            fail("nodewise box recheck fails at %s" % set_name(U))
-        if frozenset().union(*best_dia) != diamond[U]:
-            fail("nodewise diamond recheck fails at %s" % set_name(U))
+        best_box = [V for V in inv if inv[V] <= box_nodes]
+        best_dia = [V for V in inv if inv[V] <= dia_nodes]
+        if frozenset().union(*best_box) != opens[box[name]]:
+            fail("nodewise box recheck fails at %s" % name)
+        if frozenset().union(*best_dia) != opens[diamond[name]]:
+            fail("nodewise diamond recheck fails at %s" % name)
 
 
 def functor_G_object(plot):

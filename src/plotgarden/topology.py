@@ -2,7 +2,7 @@
 
 Opens are stored as explicit frozensets over the point set; closed sets
 are derived by complementation.  The module also turns a space's topology
-into a FiniteFrame (ordered by inclusion) and a continuous map into the
+into a FiniteFrame of point masks and a continuous map into the
 inverse-image frame morphism, realizing the contravariant open-set functor.
 """
 
@@ -115,39 +115,33 @@ def validate_space(points, opens):
 
 
 class TopologyFrame(FiniteFrame):
-    """The opens of a space as a frame, with name <-> set translation."""
+    """The opens of a space as a frame; set_of gives a name's open set.
 
-    def __init__(self, space, *args):
-        super().__init__(*args)
+    bit gives each point the bit of its position in space.points, and
+    each open's mask is the sum of its points' bits."""
+
+    def __init__(self, space):
         self.space = space
         self.open_sets = {set_name(V): V for V in space.opens}
-        self.open_names = {V: name for name, V in self.open_sets.items()}
+        self.bit = {p: 1 << i for i, p in enumerate(space.points)}
+        super().__init__({name: sum(map(self.bit.__getitem__, self.open_sets[name]))
+                          for name in sorted(self.open_sets)})
 
     def set_of(self, name):
         return self.open_sets[name]
 
 
 def topology_frame(space):
-    """The inclusion-ordered frame of open sets, elements named canonically.
+    """The inclusion-ordered frame of open sets, elements named canonically
+    and held as point masks: meet is intersection and join is union.
 
     Built once per space and shared: every caller gets the same frame,
     which nobody may mutate.
     """
     cached = space.__dict__.get("_topology_frame")
-    if cached is not None:
-        return cached
-    opens = sorted(space.opens, key=set_name)
-    names = {V: set_name(V) for V in opens}
-    elements = sorted(names.values())
-    up = {names[V]: frozenset(names[W] for W in opens if V <= W) for V in opens}
-    meet = {(names[V], names[W]): names[V & W]
-            for V, W in itertools.product(opens, repeat=2)}
-    join = {(names[V], names[W]): names[V | W]
-            for V, W in itertools.product(opens, repeat=2)}
-    frame = TopologyFrame(space, elements, up, meet, join,
-                          set_name(frozenset()), set_name(space.full))
-    space.__dict__["_topology_frame"] = frame
-    return frame
+    if cached is None:
+        cached = space.__dict__["_topology_frame"] = TopologyFrame(space)
+    return cached
 
 
 class ContinuousMap:

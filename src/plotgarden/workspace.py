@@ -270,7 +270,7 @@ def _load_map(ws, name, entry):
         source = _ref(ws, "gardens", entry, "source", name)
         target = _ref(ws, "gardens", entry, "target", name)
         src_fr, tgt_fr = source.bed.frame, target.bed.frame
-        fm = _mapping(entry, "frame_map", name, src_fr.elements, tgt_fr._index)
+        fm = _mapping(entry, "frame_map", name, src_fr.elements, tgt_fr.mask)
         pm = _mapping(entry, "point_map", name, target.space.points,
                       source.space.full)
         obj = GardenMorphism(source, target, FrameMorphism(src_fr, tgt_fr, fm),

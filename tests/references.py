@@ -2,15 +2,17 @@
 
 The package uses none of these.  They are the textbook forms: box and
 diamond over node subsets, the transition-morphism and simulation
-verdicts of a node map, and the plot that a finite Boolean algebra
-induces through a box table.
+verdicts of a node map, the plot that a finite Boolean algebra induces
+through a box table, and a frame's order read off its up sets alone,
+with the laws the package checks on int masks restated over it.
 """
 
 import itertools
 
+from plotgarden.garden import _enumerate_flowers
 from plotgarden.generators import _close_topology
 from plotgarden.plot import validate_plot
-from plotgarden.topology import validate_space
+from plotgarden.topology import set_name, validate_space
 from plotgarden.transition import TransitionStructure
 
 
@@ -93,3 +95,146 @@ def spec_boolean(B, box):
     space = validate_space(atoms, _close_topology(atoms, subbasis))
     structure = TransitionStructure(atoms, edges=edges)
     return validate_plot(structure, space, {a: a for a in atoms})
+
+
+class Order:
+    """A finite lattice given by its up sets alone.
+
+    le, meet and join follow their definitions: a meet is the common
+    lower bound that has every other one below it, found as the element
+    whose down-set is the set of common lower bounds; dually for joins.
+    """
+
+    def __init__(self, up):
+        self.elements = tuple(up)
+        self.up = {x: frozenset(ys) for x, ys in up.items()}
+        self.down = {x: frozenset(y for y in up if x in self.up[y])
+                     for x in up}
+        self._greatest = {d: x for x, d in self.down.items()}
+        self._least = {u: x for x, u in self.up.items()}
+        self.top = self.meet_all([])
+        self.bottom = self.join_all([])
+
+    @classmethod
+    def of_frame(cls, frame):
+        return cls({x: frame.up(x) for x in frame.elements})
+
+    @classmethod
+    def of_space(cls, space):
+        """The opens of space under inclusion, by their canonical names,
+        in the order of those names."""
+        return cls({set_name(V): [set_name(W) for W in space.opens if V <= W]
+                    for V in sorted(space.opens, key=set_name)})
+
+    def le(self, a, b):
+        return b in self.up[a]
+
+    def meet(self, a, b):
+        return self._greatest[self.down[a] & self.down[b]]
+
+    def join(self, a, b):
+        return self._least[self.up[a] & self.up[b]]
+
+    def meet_all(self, xs):
+        lower = frozenset(self.elements).intersection(
+            *(self.down[x] for x in xs))
+        return self._greatest[lower]
+
+    def join_all(self, xs):
+        upper = frozenset(self.elements).intersection(
+            *(self.up[x] for x in xs))
+        return self._least[upper]
+
+
+def bed_law_witnesses(bed, order):
+    """The first witness of each broken bed law, the elements scanned in
+    order's order: box keeps the top and meets, diamond is monotone, and
+    box(x) ^ diamond(y) <= diamond(x ^ y)."""
+    box, dia = bed.box, bed.diamond
+    out = []
+    if box[order.top] != order.top:
+        out.append(("box-top", "box(%r)=%r" % (order.top, box[order.top])))
+    meet_w = mono_w = mixed_w = None
+    for x in order.elements:
+        for y in order.elements:
+            m = order.meet(x, y)
+            if meet_w is None and box[m] != order.meet(box[x], box[y]):
+                meet_w = "x=%r y=%r" % (x, y)
+            if mono_w is None and order.le(x, y) and not order.le(
+                    dia[x], dia[y]):
+                mono_w = "x=%r y=%r" % (x, y)
+            if mixed_w is None and not order.le(
+                    order.meet(box[x], dia[y]), dia[m]):
+                mixed_w = "x=%r y=%r" % (x, y)
+    for law, witness in (("box-meet", meet_w), ("diamond-monotone", mono_w),
+                         ("mixed-law", mixed_w)):
+        if witness:
+            out.append((law, witness))
+    return out
+
+
+def check_frame_morphism(mapping, source, target):
+    """The verdict of lattice.check_frame_morphism, from two orders."""
+    f = dict(mapping)
+    violations = []
+    if f[source.top] != target.top:
+        violations.append(("top", source.top))
+    if f[source.bottom] != target.bottom:
+        violations.append(("bottom", source.bottom))
+    for law in ("meet", "join"):
+        src_op, tgt_op = getattr(source, law), getattr(target, law)
+        for a, b in itertools.product(source.elements, repeat=2):
+            if f[src_op(a, b)] != tgt_op(f[a], f[b]):
+                violations.append((law, (a, b)))
+                break
+    return {"is_frame_morphism": not violations,
+            "is_surjective": set(f.values()) == set(target.elements),
+            "violations": violations}
+
+
+def health_bounds(g, order, W):
+    """The meet of the elements whose covering holds the live root set W,
+    and the join of those whose covering misses it."""
+    return (order.meet_all([x for x in order.elements if W <= g.alpha(x)]),
+            order.join_all([x for x in order.elements
+                            if not g.alpha(x) & W]))
+
+
+def harvest_patterns(g, order):
+    """The stalk/bloom patterns that survive pruning in rounds against
+    the live roots, health judged by health_bounds."""
+    roots_of = {}
+    for fl in _enumerate_flowers(g):
+        roots_of.setdefault((fl.stalk, fl.bloom.generator), set()).add(
+            fl.root)
+    alive = set(roots_of)
+    live = frozenset().union(*roots_of.values())
+    bounds = {}
+    while True:
+        kept = set()
+        for a, c in alive:
+            W = (g.alpha(c) - g.alpha(a)) & live
+            if W not in bounds:
+                bounds[W] = health_bounds(g, order, W)
+            m, M = bounds[W]
+            if order.le(c, m) and order.le(M, a):
+                kept.add((a, c))
+        alive = kept
+        roots = frozenset().union(*(roots_of[key] for key in alive))
+        if roots == live:
+            return alive
+        live = roots
+
+
+def healthy_witness(g, order, flowers):
+    """The first health violation of garden.healthy_witness, by order."""
+    roots = frozenset(fl.root for fl in flowers)
+    for fl in sorted(flowers, key=repr):
+        a, c = fl.stalk, fl.bloom.generator
+        W = (g.alpha(c) - g.alpha(a)) & roots
+        for x in order.elements:
+            if not order.le(c, x) and W <= g.alpha(x):
+                return (fl, x, "no transition escapes it")
+            if not order.le(x, a) and not g.alpha(x) & W:
+                return (fl, x, "no transition reaches it")
+    return None

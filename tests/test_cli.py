@@ -6,6 +6,7 @@ import pytest
 
 import plotgarden.cli as cli
 from plotgarden.cli import run_cli
+from plotgarden.garden import Flower
 from plotgarden.generators import Profile, generate_instances, random_plot
 from plotgarden.workspace import instance_workspace, parse_workspace
 from conftest import fixture_with
@@ -250,6 +251,34 @@ def test_garden_morphism_counterexample_is_shrunk(tmp_path, monkeypatch):
     small = ws.resolve("cex")
     assert len(small.source.space.points) == 2
     assert len(small.target.space.points) < 5
+
+
+def test_geometric_unit_counterexample_is_shrunk_and_replays(tmp_path, capsys,
+                                                            monkeypatch):
+    # the third fuzz instance of seed 14 is a geometric unit: its target
+    # nodes are flowers, which the shrinker must not try to sort
+    unit = generate_instances("14", count=3)[2]["object"]
+    assert all(isinstance(n, str) for n in unit.source.structure.nodes)
+    assert all(isinstance(n, Flower) for n in unit.target.structure.nodes)
+    assert len(unit.source.structure.edges) > 1
+
+    def fake_suite(kind, obj):
+        # the law fails while the map keeps a source transition
+        failing = kind == "plot_map" and bool(obj.source.structure.edges)
+        return [{"id": "LAW.230D", "passed": not failing, "witness": None}]
+    monkeypatch.setattr(cli, "_safe_suite", fake_suite)
+    assert run_cli(["fuzz", "--seed", "14", "--count", "3",
+                    "--report", str(tmp_path / "run.json")]) == 1
+    cex = tmp_path / "run.cex.ws"
+    small = parse_workspace(cex.read_text()).resolve("cex")
+    assert len(small.source.structure.edges) == 1
+    assert len(small.source.structure.nodes) < len(unit.source.structure.nodes)
+
+    replay = tmp_path / "replay.json"
+    assert run_cli(["verify", str(cex) + "#cex", "--report", str(replay)]) == 1
+    doc = json.loads(replay.read_text())
+    assert [r["id"] for r in doc["records"] if not r["passed"]] == ["LAW.230D"]
+    assert "counterexample written" in capsys.readouterr().err
 
 
 SIERP_BOX = [["{P,Q}", "{P,Q}"], ["{Q}", "{P,Q}"], ["{}", "{Q}"]]

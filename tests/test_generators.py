@@ -8,7 +8,8 @@ from plotgarden.generators import (Profile, ProfileUnsatisfiable,
                                    random_lentile_map, random_plot,
                                    shrink_instance)
 from plotgarden.plot import classify_plot_map, lift_operators
-from plotgarden.garden import Bed, check_garden_morphism, harvest, validate_garden
+from plotgarden.garden import (Bed, Flower, check_garden_morphism, harvest,
+                              validate_garden)
 from conftest import build_plot, build_space
 
 
@@ -131,3 +132,18 @@ def test_shrink_rejects_candidates_whose_check_raises():
     def broken_check(p):
         raise RuntimeError("the check itself is broken")
     assert shrink_instance("plot", plot, broken_check) is plot
+
+
+def test_shrink_plot_maps_whose_nodes_are_flowers():
+    # geometric units and F-arrows have flowers for nodes, which do not
+    # order: 23 of these draws once made the shrinker sort them and raise
+    flowered = 0
+    for i in range(60):
+        m = random_lentile_map(random.Random("shr:%d" % i), Profile())
+        nodes = m.source.structure.nodes + m.target.structure.nodes
+        flowered += any(isinstance(n, Flower) for n in nodes)
+        small = shrink_instance("plot_map", m, lambda x: True)
+        assert len(small.source.structure.nodes) <= len(
+            m.source.structure.nodes)
+        assert classify_plot_map(small)["is_plot_map"]
+    assert flowered >= 23

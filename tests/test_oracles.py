@@ -3,13 +3,15 @@ import pytest
 from plotgarden.oracles import (OracleTooLarge, oracle_filters,
                                 oracle_flowers, oracle_harvest, oracle_lens,
                                 oracle_records)
-from plotgarden.topology import topology_frame
+from plotgarden.lattice import FiniteFrame
+from plotgarden.topology import TopologyFrame, topology_frame
 from plotgarden.garden import harvest
 from plotgarden.plot import Plot
 from plotgarden.transition import TransitionStructure
 from plotgarden.generators import generate_instances
 from plotgarden.adjunction import algebraic_unit
-from conftest import build_space
+from plotgarden.workspace import parse_workspace
+from conftest import FIXTURES, build_space
 
 
 def test_oracles_pass_on_fixtures(sierp_plot, sierp_garden):
@@ -63,3 +65,29 @@ def test_oracle_detects_tampered_harvest(sierp_garden):
     finally:
         del sierp_garden.__dict__["_harvest"]
     assert oracle_harvest(sierp_garden)["passed"]
+
+
+def test_filter_and_harvest_oracles_read_no_masks(monkeypatch):
+    # The oracles are the second way: they read a frame's elements and up
+    # sets, never the int masks of the fast path.  The fast-path results
+    # they compare with, harvests and up sets, are computed first; then
+    # every frame's masks raise on access.
+    gardens = [e["object"] for e in generate_instances("masks", count=24)
+               if e["kind"] == "garden"]
+    gardens += [parse_workspace(FIXTURES.read_text()).resolve("sierp_garden")]
+    assert any(not isinstance(g.bed.frame, TopologyFrame) for g in gardens)
+    for g in gardens:
+        harvest(g)
+        for frame in (g.bed.frame, g.top_frame):
+            for x in frame.elements:
+                frame.up(x)
+
+    def hidden(frame):
+        raise AssertionError("an oracle read the masks of %r" % (frame,))
+    monkeypatch.setattr(FiniteFrame, "mask", property(hidden), raising=False)
+    for g in gardens:
+        assert oracle_filters(g.bed.frame)["passed"]
+        assert oracle_harvest(g)["passed"]
+    with pytest.raises(AssertionError):
+        gardens[0].bed.frame.le(gardens[0].bed.frame.top,
+                                gardens[0].bed.frame.top)

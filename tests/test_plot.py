@@ -74,16 +74,12 @@ def test_nodewise_recheck_rejects_a_lax_table_that_is_not_largest():
     # nodewise recheck sees that the lift of {Q} under box is not the largest
     plot = parse_workspace(FIXTURES.read_text()).resolve("sierp")
     lifted = lift_operators(plot)
-
-    def as_sets(table):
-        return {U: lifted.frame.set_of(table[set_name(U)])
-                for U in plot.space.opens}
-    box, diamond = as_sets(lifted.box_sigma), as_sets(lifted.diamond_sigma)
+    box, diamond = lifted.box_sigma, lifted.diamond_sigma
     calls = []
-    _recheck_lift_nodewise(plot, box, diamond, calls.append)
+    _recheck_lift_nodewise(plot, lifted.frame, box, diamond, calls.append)
     assert calls == []
-    empty = {U: frozenset() for U in plot.space.opens}
-    _recheck_lift_nodewise(plot, empty, diamond, calls.append)
+    empty = {U: "{}" for U in box}
+    _recheck_lift_nodewise(plot, lifted.frame, empty, diamond, calls.append)
     assert calls and all(c.startswith("nodewise box recheck fails")
                          for c in calls)
 

@@ -63,8 +63,8 @@ def test_topology_frame_roundtrip(sierp_space):
     fr = topology_frame(sierp_space)
     assert set(fr.elements) == {"{}", "{Q}", "{P,Q}"}
     for U in sierp_space.opens:
-        assert fr.set_of(fr.open_names[U]) == U
-        assert fr.open_names[U] == set_name(U)
+        assert fr.set_of(set_name(U)) == U
+        assert fr.mask[set_name(U)] == sum(fr.bit[p] for p in U)
     assert fr.le("{}", "{Q}") and not fr.le("{P,Q}", "{Q}")
 
 
