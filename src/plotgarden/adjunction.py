@@ -9,7 +9,7 @@ reproduces every harvested flower on the nose.
 """
 
 from .lattice import Filter, FrameMorphism, filter_images, right_adjoint
-from .topology import ContinuousMap, open_frame, set_name
+from .topology import ContinuousMap, open_frame
 from .transition import NodeMap
 from .plot import (NotLentile, PlotMap, PostconditionFailure,
                    _successor_images, classify_plot_map, compose_plot_maps,
@@ -25,23 +25,22 @@ def _record(law, passed, witness=None):
 
 
 def _stalk_bloom(plot):
-    """Per node: the complement of the closure of its valued successors,
-    and the least open around them (the bloom filter's generator)."""
-    space = plot.space
+    """Per node, by name: the complement of the closure of its valued
+    successors, and the least open around them (the bloom's generator)."""
+    frame = plot.space._frame()
+    top = frame.mask[frame.top]
     node_img = _successor_images(plot)
     memo, out = {}, {}
     for n in plot.structure.nodes:
         W = node_img[n]
         got = memo.get(W)
         if got is None:
-            stalk = space.complement(space.closure(W))
-            around = [U for U in space.opens if W <= U]
-            gen = space.full.intersection(*around)
-            if not (space.is_open(stalk) and space.is_open(gen)):
+            w = frame.mask_of(W)
+            got = memo[W] = (frame.element.get(top & ~frame.closure_mask(w)),
+                             frame.element.get(frame.saturation_mask(w)))
+            if None in got:
                 raise PostconditionFailure(
                     "stalk or bloom of %r is not open" % (sorted(W, key=str),))
-            got = (set_name(stalk), set_name(gen))
-            memo[W] = got
         out[n] = got
     return out
 

@@ -17,7 +17,7 @@ from . import workspace as workspace_mod
 from .garden import GardenError
 from .lattice import LatticeError
 from .plot import PlotError, PlotMap, PostconditionFailure
-from .topology import TopologyError, set_name
+from .topology import TopologyError
 
 
 class UnknownCommand(ValueError):
@@ -171,8 +171,7 @@ def _cmd_lift(args):
     _, obj, kind = _load_ref(args.ref)
     _require_kind(kind, "plot", args.ref)
     lifted = plot_mod.lift_operators(obj)
-    for U in obj.space.sorted_opens():
-        name = set_name(U)
+    for name in lifted.frame.by_size():
         print("%-12s  box=%-12s  diamond=%s"
               % (name, lifted.box_sigma[name], lifted.diamond_sigma[name]))
     records = garden_mod.lift_report(obj)
@@ -256,7 +255,7 @@ def _cmd_verify(args):
 
 def _law_records(kind, obj, law_id):
     if law_id.startswith("ORACLE"):
-        records = oracles.oracle_records(kind, obj)
+        records = oracles.oracle_records(kind, obj, {law_id})
     else:
         records = _safe_suite(kind, obj)
     return [r for r in records if r["id"] == law_id]

@@ -138,12 +138,13 @@ def validate_garden(bed, space, covering):
         if x not in covering:
             raise CoveringNotFrameMorphism("no open assigned to %r" % (x,))
         V = frozenset(covering[x])
-        if not space.is_open(V):
+        if V not in space.opens:
             raise CoveringNotFrameMorphism(
                 "value %s of %r is not open" % (set_name(V), x))
         alpha_sets[x] = V
     top_frame = topology_frame(space)
-    mapping = {x: set_name(alpha_sets[x]) for x in bed.frame.elements}
+    mapping = {x: top_frame.element[top_frame.mask_of(V)]
+               for x, V in alpha_sets.items()}
     verdict = check_frame_morphism(mapping, bed.frame, top_frame)
     if not verdict["is_frame_morphism"]:
         raise CoveringNotFrameMorphism("%s at %s" % verdict["violations"][0])
@@ -305,17 +306,28 @@ class Flower:
         return "(%s;%s;^%s)" % (self.root, self.stalk, self.bloom.generator)
 
 
+def _patterns(g):
+    """Pattern (a, c) -> the mask of the roots p with a in pdd(p), c <= pbb(p)."""
+    fr, bit = g.bed.frame, g.top_frame.bit
+    pfs = {bit[p]: point_filters(g, p) for p in g.space.points}
+    stalk = {x: sum(b for b, pf in pfs.items() if x in pf["pdd"]) for x in fr.mask}
+    bloom = {x: sum(b for b, pf in pfs.items() if fr.le(x, pf["pbb"].generator))
+             for x in fr.mask}
+    return {(a, c): ra & rc for a, ra in stalk.items() if ra
+            for c, rc in bloom.items() if ra & rc}
+
+
+def _grow(g, roots_of):
+    """The flowers of the patterns at their roots, by root, stalk, bloom."""
+    blooms = {c: Filter(g.bed.frame, c) for _, c in roots_of}
+    keys = sorted(roots_of.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
+    return [Flower(p, a, blooms[c]) for p, b in g.top_frame.bit.items()
+            for (a, c), roots in keys if roots & b]
+
+
 def _enumerate_flowers(g):
     """All flowers, via the principal characterizations."""
-    fr = g.bed.frame
-    flowers = []
-    for p in g.space.points:
-        pf = point_filters(g, p)
-        blooms = [Filter(fr, c)
-                  for c in sorted(fr.down(pf["pbb"].generator), key=str)]
-        flowers += [Flower(p, a, bloom)
-                    for a in sorted(pf["pdd"], key=str) for bloom in blooms]
-    return flowers
+    return _grow(g, _patterns(g))
 
 
 def _flower_fault(g, root, stalk, gen):
@@ -381,19 +393,20 @@ def healthy_witness(g, flowers):
     """
     mask = g.bed.frame.mask
     alpha = {x: g.top_frame.mask[g.covering(x)] for x in mask}
+    rows = [(x, mx, alpha[x]) for x, mx in mask.items()]
     roots = sum(map(g.top_frame.bit.__getitem__, {fl.root for fl in flowers}))
-    passed = set()  # a member's health depends on its stalk and bloom only
-    for fl in sorted(flowers, key=repr):
-        a, c = fl.stalk, fl.bloom.generator
-        if (a, c) in passed:
-            continue
-        W = alpha[c] & ~alpha[a] & roots
-        for x, mx in mask.items():
-            if mask[c] & mx != mask[c] and W & alpha[x] == W:
-                return (fl, x, "no transition escapes it")
-            if mask[a] & mx != mx and not alpha[x] & W:
-                return (fl, x, "no transition reaches it")
-        passed.add((a, c))
+
+    def fault(a, c):    # a member's health depends on its stalk and bloom only
+        W, ma, mc = alpha[c] & ~alpha[a] & roots, mask[a], mask[c]
+        for x, mx, ax in rows:
+            if W & ax == W and mc & mx != mc:
+                return (x, "no transition escapes it")
+            if not ax & W and ma & mx != mx:
+                return (x, "no transition reaches it")
+
+    if any(fault(*key) for key in {(fl.stalk, fl.bloom.generator) for fl in flowers}):
+        bad = min((f for f in flowers if fault(f.stalk, f.bloom.generator)), key=repr)
+        return (bad,) + fault(bad.stalk, bad.bloom.generator)
     return None
 
 
@@ -405,16 +418,17 @@ def harvest(g):
     that element's covering, and for every element not under its stalk,
     some live root in its region lies inside it.  Health depends only on
     the flower's stalk/bloom pattern and the live roots, and only shrinks
-    as they shrink.  So the pruning runs in rounds over patterns: with
-    every pattern alive and every candidate root live at the start, each
-    round keeps the alive patterns that are healthy against the live
-    roots and takes their flowers' roots as the new live roots, until a
-    round keeps every live root.  Root sets are point masks, the patterns
-    of one region are judged together, and the health bounds of a live
-    set are folded once.  A dead pattern is never rechecked, and there are
-    at most |points| + 1 rounds.  The survivors, the flowers
-    of the alive patterns, are checked once against the plain definition,
-    healthy_witness, before the plot is assembled; a witness raises
+    as they shrink.  So the pruning runs in rounds over _patterns, and no
+    candidate flower is built: with every pattern alive and every candidate
+    root live at the start, each round keeps the alive patterns that are
+    healthy against the live roots and takes their roots as the new live
+    roots, until a round keeps every live root.  Root sets are point masks,
+    the patterns of one region are judged together, and the health bounds
+    of a live set W fold per-point tables over W: nabla's generators, and
+    the joins of the elements missing the point.  A dead pattern is never
+    rechecked, and there are at most |points| + 1 rounds.  The survivors,
+    grown from the alive patterns, are checked once against the plain
+    definition, healthy_witness, before the plot is assembled; a witness raises
     PostconditionFailure.  The plot's structure is _transitions' on the
     survivors: flowers grouped by root, and one set of live roots per
     alive pattern, expanded to flower edges only when read.  Cached once
@@ -426,24 +440,23 @@ def harvest(g):
     fr = g.bed.frame
     mask = fr.mask
     alpha = {x: g.top_frame.mask[g.covering(x)] for x in mask}
-    bit = g.top_frame.bit
-    flowers = _enumerate_flowers(g)
-    roots_of = {}  # stalk/bloom pattern -> mask of its flowers' roots
-    for fl in flowers:
-        key = (fl.stalk, fl.bloom.generator)
-        roots_of[key] = roots_of.get(key, 0) | bit[fl.root]
-    alive = {}  # region mask -> [(stalk mask, bloom mask, pattern)] alive in it
-    for a, c in roots_of:
+    roots_of = _patterns(g)  # stalk/bloom pattern -> mask of its candidate roots
+    alive, live = {}, 0  # region -> [(stalk mask, bloom mask, pattern)] alive; roots
+    for (a, c), roots in roots_of.items():
         alive.setdefault(alpha[c] & ~alpha[a], []).append((mask[a], mask[c], (a, c)))
+        live |= roots
+    # per point bit: nabla's generator, and the join of the elements missing it
+    nabla = {b: point_filters(g, p)["nabla"].generator
+             for p, b in g.top_frame.bit.items()}
+    missing = {b: fr.join_all(x for x in mask if not alpha[x] & b) for b in nabla}
     bounds = {}  # mask of live reachable roots -> (meet, join) health bounds
-    live = sum(bit[p] for p in {fl.root for fl in flowers})
     while True:
         kept = 0
         for region, patterns in alive.items():
             W = region & live
             if W not in bounds:
-                bounds[W] = (mask[fr.meet_all(x for x in mask if W & alpha[x] == W)],
-                             mask[fr.join_all(x for x in mask if not alpha[x] & W)])
+                bounds[W] = (mask[fr.join_all(nabla[b] for b in nabla if W & b)],
+                             mask[fr.meet_all(missing[b] for b in missing if W & b)])
             m, M = bounds[W]
             patterns[:] = [(a, c, key) for a, c, key in patterns
                            if c & m == c and M & a == M]
@@ -453,9 +466,8 @@ def harvest(g):
             break
         live = kept
 
-    healthy = {key for patterns in alive.values() for _, _, key in patterns}
-    survivors = [fl for fl in flowers
-                 if (fl.stalk, fl.bloom.generator) in healthy]
+    survivors = _grow(g, {key: roots_of[key] for patterns in alive.values()
+                          for _, _, key in patterns})
     bad = healthy_witness(g, survivors)
     if bad is not None:
         raise PostconditionFailure("survivor %r at %r: %s" % bad)
@@ -556,7 +568,7 @@ def _lift_violations(lifted):
     """The bed-law verdict of a lifted bed, plus the empty-diamond law,
     which applies exactly when the valuation is surjective."""
     violations = bed_violations(lifted.bed)
-    empty = set_name(frozenset())
+    empty = lifted.frame.bottom
     if lifted.surjective and lifted.diamond_sigma[empty] != empty:
         violations.append(("diamond-empty", lifted.diamond_sigma[empty]))
     return violations
@@ -587,8 +599,8 @@ def lift_report(plot):
     sigma = plot.valuation
     node_img = _successor_images(plot)
     bad = None
-    for U in plot.space.sorted_opens():
-        uname = set_name(U)
+    for uname in frame.by_size():
+        U = frame.set_of(uname)
         box_u = frame.set_of(bed.box[uname])
         dia_u = frame.set_of(bed.diamond[uname])
         for n in st.nodes:

@@ -91,7 +91,7 @@ def _subsets(points):
 def oracle_lens(space):
     """Recompute closure, interior, saturation, and lens on all subsets."""
     _guard("space", len(space.points), MAX_POINTS)
-    opens = space.sorted_opens()
+    opens = list(space.opens)
     closeds = [space.full - U for U in opens]
 
     def check(name, got, want, E):
@@ -224,23 +224,23 @@ def oracle_harvest(g):
     return {"id": "ORACLE.HARVEST", "passed": True, "witness": None}
 
 
-def oracle_records(kind, obj):
-    """All applicable oracle records for one instance."""
+def oracle_records(kind, obj, wanted=None):
+    """The applicable oracle records for one instance, or those whose id
+    is in wanted: an oracle not wanted does not run, nor check its cap."""
     from .plot import lift_operators
-    records = []
+    runs, grown = [], []    # (id, oracle) in order; gardens to harvest
     if kind == "plot":
-        records.append(oracle_lens(obj.space))
-        records.append(oracle_filters(lift_operators(obj).frame))
+        runs = [("ORACLE.LENS", lambda: oracle_lens(obj.space)),
+                ("ORACLE.FILTERS", lambda: oracle_filters(lift_operators(obj).frame))]
     elif kind == "garden":
-        records.append(oracle_lens(obj.space))
-        records.append(oracle_filters(obj.bed.frame))
-        records.append(oracle_flowers(obj))
-        records.append(oracle_harvest(obj))
+        runs = [("ORACLE.LENS", lambda: oracle_lens(obj.space)),
+                ("ORACLE.FILTERS", lambda: oracle_filters(obj.bed.frame))]
+        grown = [obj]
     elif kind == "plot_map":
-        records.append(oracle_lens(obj.target.space))
+        runs = [("ORACLE.LENS", lambda: oracle_lens(obj.target.space))]
     elif kind == "garden_morphism":
-        records.append(oracle_flowers(obj.source))
-        records.append(oracle_harvest(obj.source))
-        records.append(oracle_flowers(obj.target))
-        records.append(oracle_harvest(obj.target))
-    return records
+        grown = [obj.source, obj.target]
+    for g in grown:
+        runs += [("ORACLE.FLOWERS", lambda g=g: oracle_flowers(g)),
+                 ("ORACLE.HARVEST", lambda g=g: oracle_harvest(g))]
+    return [run() for law, run in runs if wanted is None or law in wanted]

@@ -174,9 +174,11 @@ def classify_plot_map(m):
     of an image node lands, valued, below some valued source successor
     (up_condition), inside every open neighbourhood's reach
     (minus_condition), and inside the lens closure of the valued
-    successor image (is_lentile).  The three verdicts are computed along
-    separate routes; lentile agrees with the conjunction of the other
-    two.
+    successor image (is_lentile).  For E the pushed image and W2 the
+    image node's, up holds iff W2 lies in E's saturation, the union of the
+    least opens U_s over E, and minus iff in its closure, the points r whose
+    U_r meets E; U_r is the first open around r, in sorted_opens order,
+    to miss E.  Lentile, read off FiniteSpace.lens, agrees with both.
     """
     src, tgt = m.source, m.target
     sigma, tau = src.valuation, tgt.valuation
@@ -212,10 +214,8 @@ def classify_plot_map(m):
             return report
 
     T = tgt.space
-    order = T.specialization()
-    opens = T.sorted_opens()
-    lens_memo = {}
-    verdicts = {}     # (image set, target successor mask) -> (up, minus, lens, bad)
+    cover = {}        # pushed image -> its saturation, closure and lens in T
+    verdicts = {}     # (pushed image, target image) -> first bad point per law
     up = minus = lentile = True
 
     def locate(P, bad_point):
@@ -231,38 +231,21 @@ def classify_plot_map(m):
         key = (E, W2)
         got = verdicts.get(key)
         if got is None:
-            up_ok = minus_ok = lens_ok = True
-            bad = {}
-            for r in sorted(W2, key=str):
-                if up_ok and not any((s, r) in order for s in E):
-                    up_ok = False
-                    bad["up"] = r
-                if minus_ok:
-                    for V in opens:
-                        if r in V and not (V & E):
-                            minus_ok = False
-                            bad["minus"] = (r, V)
-                            break
-            lens_set = lens_memo.get(E)
-            if lens_set is None:
-                lens_set = T.lens(E)
-                lens_memo[E] = lens_set
-            if not W2 <= lens_set:
-                lens_ok = False
-                bad["lens"] = sorted(W2 - lens_set, key=str)[0]
-            got = (up_ok, minus_ok, lens_ok, bad)
-            verdicts[key] = got
-        up_ok, minus_ok, lens_ok, bad = got
-        if not up_ok and up:
+            sets = cover.get(E)
+            if sets is None:
+                sets = cover[E] = (T.saturation(E), T.closure(E), T.lens(E))
+            got = verdicts[key] = [min(W2 - S, key=str, default=None) for S in sets]
+        bad_up, bad_minus, bad_lens = got
+        if bad_up is not None and up:
             up = False
-            report["witnesses"]["up"] = (P, locate(P, bad["up"]))
-        if not minus_ok and minus:
+            report["witnesses"]["up"] = (P, locate(P, bad_up))
+        if bad_minus is not None and minus:
             minus = False
-            r, V = bad["minus"]
-            report["witnesses"]["minus"] = (P, locate(P, r), set_name(V))
-        if not lens_ok and lentile:
+            report["witnesses"]["minus"] = (P, locate(P, bad_minus), set_name(
+                T.saturation({bad_minus})))
+        if bad_lens is not None and lentile:
             lentile = False
-            report["witnesses"]["lentile"] = (P, locate(P, bad["lens"]))
+            report["witnesses"]["lentile"] = (P, locate(P, bad_lens))
 
     report["up_condition"] = up
     report["minus_condition"] = minus
@@ -287,12 +270,14 @@ def lift_operators(plot):
     """Lift the structure's box/diamond through the valuation onto opens.
 
     The lift of U under box is the union of the opens V with
-    sigma^-1(V) inside box(sigma^-1(U)); likewise for diamond.  Checked
-    here: the defining biconditional for every open pair, the lift
-    recomputed node by node on small instances, and the bed laws (plus
-    the empty-diamond law for a surjective valuation) through
-    garden.bed_violations, whose verdict is cached on the lifted bed
-    that lift_report and functor_G_object read again.  Any failure
+    sigma^-1(V) inside box(sigma^-1(U)): the interior of the points whose
+    nodes' valued successor images all lie in U; likewise for diamond.
+    Checked here: the defining biconditional over the least opens U_p, as
+    every open is a union of U_p (a failure is scanned over all opens for
+    its witness), the lift recomputed node by node on small instances, and
+    the bed laws (plus the empty-diamond law for a surjective valuation)
+    through garden.bed_violations, whose verdict is cached on the lifted
+    bed that lift_report and functor_G_object read again.  Any failure
     raises PostconditionFailure.
 
     Lifted once per plot and shared: every later call returns the same
@@ -309,26 +294,33 @@ def lift_operators(plot):
     sigma = plot.valuation
     node_img = _successor_images(plot)
 
-    imgs_by_point = {p: set() for p in space.points}
+    owners = {}     # valued successor image -> the bits of its nodes' points
     for n in st.nodes:
-        imgs_by_point[sigma[n]].add(node_img[n])
-    # per point: its bit and the point masks of its nodes' images
-    points = [(frame.bit[p], {sum(map(frame.bit.__getitem__, W)) for W in imgs})
-              for p, imgs in imgs_by_point.items()]
+        owners[node_img[n]] = owners.get(node_img[n], 0) | frame.bit[sigma[n]]
+    owners = {frame.mask_of(W): o for W, o in owners.items()}
 
-    # open name -> its lifted open's name, and -> the eligible point masks
+    # open name -> its lifted open's name, and -> the eligible point masks:
+    # every point but those owning an image outside U (box) or missing it
     box, diamond, eligible = {}, {}, {}
     for U, u in opens.items():
-        eligible[U] = (sum(b for b, ms in points if all(m & u == m for m in ms)),
-                       sum(b for b, ms in points if all(m & u for m in ms)))
-        box[U], diamond[U] = (frame.join_all(V for V, v in opens.items()
-                                             if v & E == v) for E in eligible[U])
+        B = D = frame.mask[frame.top]
+        for m, o in owners.items():
+            if m & ~u:
+                B &= ~o
+            if not m & u:
+                D &= ~o
+        eligible[U] = (B, D)
+        box[U], diamond[U] = (frame.element[frame.interior_mask(E)]
+                              for E in eligible[U])
 
     def fail(msg):
         raise PostconditionFailure("lift_operators on %r: %s" % (plot, msg))
 
     for U, (BU, DU) in eligible.items():
         boxU, diaU = opens[box[U]], opens[diamond[U]]
+        if all((v & BU == v) == (v & boxU == v) and (v & DU == v) == (v & diaU == v)
+               for v in frame.least.values()):
+            continue
         for V, v in opens.items():
             if (v & BU == v) != (v & boxU == v):
                 fail("box biconditional fails at U=%s V=%s" % (U, V))

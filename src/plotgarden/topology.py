@@ -1,12 +1,15 @@
 """Finite topological spaces and their closure family.
 
-Opens are stored as explicit frozensets over the point set; closed sets
-are derived by complementation.  The module also turns a space's topology
-into a FiniteFrame of point masks and a continuous map into the
+Opens are frozensets of points.  A space's TopologyFrame holds them as point
+masks, with the least open U_p of each point p: every open is the union of
+the U_p inside it (Alexandrov), so the space operators and the topology laws
+read this per-point table.  The module also turns a continuous map into the
 inverse-image frame morphism, realizing the contravariant open-set functor.
 """
 
+import functools
 import itertools
+import operator
 
 from .lattice import FiniteFrame, FrameMorphism
 
@@ -40,48 +43,42 @@ class FiniteSpace:
         self.full = frozenset(self.points)
         self.opens = frozenset(frozenset(o) for o in opens)
 
+    def _frame(self):
+        """The space's TopologyFrame, built once; see topology_frame."""
+        frame = self.__dict__.get("_topology_frame")
+        if frame is None:
+            frame = self.__dict__["_topology_frame"] = TopologyFrame(self)
+        return frame
+
     def sorted_opens(self):
-        return sorted(self.opens, key=lambda o: (len(o), set_name(o)))
-
-    def is_open(self, E):
-        return frozenset(E) in self.opens
-
-    def complement(self, E):
-        return self.full - frozenset(E)
+        return list(map(self._frame().set_of, self._frame().by_size()))
 
     def closure(self, E):
-        """Smallest closed superset: shave off every open missing E."""
-        E = frozenset(E)
-        away = frozenset().union(*(V for V in self.opens if not (V & E)))
-        return self.full - away
+        """Smallest closed superset: the points whose least open meets E."""
+        frame = self._frame()
+        return frame.points_of(frame.closure_mask(frame.mask_of(E)))
 
     def interior(self, E):
-        E = frozenset(E)
-        inside = [V for V in self.opens if V <= E]
-        return frozenset().union(*inside) if inside else frozenset()
+        frame = self._frame()
+        return frame.points_of(frame.interior_mask(frame.mask_of(E)))
 
     def specialization(self):
-        """All pairs (p, q) with p below q: every open holding p holds q.
+        """All pairs (p, q) with p below q: q is in p's least open.
 
         Computed once per space and shared: every caller gets the same
         frozenset.
         """
         cached = self.__dict__.get("_specialization")
-        if cached is not None:
-            return cached
-        pairs = set()
-        for p, q in itertools.product(self.points, repeat=2):
-            if all(q in V for V in self.opens if p in V):
-                pairs.add((p, q))
-        result = frozenset(pairs)
-        self.__dict__["_specialization"] = result
-        return result
+        if cached is None:
+            frame = self._frame()
+            cached = self.__dict__["_specialization"] = frozenset(
+                (p, q) for p, b in frame.bit.items()
+                for q in frame.points_of(frame.least[b]))
+        return cached
 
     def saturation(self, E):
-        E = frozenset(E)
-        order = self.specialization()
-        return frozenset(q for q in self.points
-                         if any((p, q) in order for p in E))
+        frame = self._frame()
+        return frame.points_of(frame.saturation_mask(frame.mask_of(E)))
 
     def lens(self, E):
         return self.saturation(E) & self.closure(E)
@@ -97,7 +94,8 @@ class FiniteSpace:
 
 
 def validate_space(points, opens):
-    """Build a FiniteSpace, or raise NotATopology naming the first defect."""
+    """Build a FiniteSpace, or raise NotATopology naming the first defect:
+    the pairwise scan runs only if some U_p or V | U_p is missing."""
     space = FiniteSpace(points, opens)
     for V in space.opens:
         if not V <= space.full:
@@ -106,6 +104,12 @@ def validate_space(points, opens):
         raise NotATopology("missing the empty set")
     if space.full not in space.opens:
         raise NotATopology("missing the full point set %s" % set_name(space.full))
+    bit = {p: 1 << i for i, p in enumerate(space.points)}
+    masks = {sum(map(bit.__getitem__, V)) for V in space.opens}
+    least = [functools.reduce(operator.and_, filter(b.__and__, masks))
+             for b in bit.values()]
+    if all(u in masks and all(v | u in masks for v in masks) for u in least):
+        return space
     for U, V in itertools.combinations(sorted(space.opens, key=set_name), 2):
         if U | V not in space.opens:
             raise NotATopology("missing union %s" % set_name(U | V))
@@ -118,17 +122,39 @@ class TopologyFrame(FiniteFrame):
     """The opens of a space as a frame; set_of gives a name's open set.
 
     bit gives each point the bit of its position in space.points, and
-    each open's mask is the sum of its points' bits."""
+    each open's mask is the sum of its points' bits.  The *_mask
+    operators act on point masks, through the least opens U_p."""
 
     def __init__(self, space):
         self.space = space
         self.open_sets = {set_name(V): V for V in space.opens}
         self.bit = {p: 1 << i for i, p in enumerate(space.points)}
-        super().__init__({name: sum(map(self.bit.__getitem__, self.open_sets[name]))
+        super().__init__({name: self.mask_of(self.open_sets[name])
                           for name in sorted(self.open_sets)})
 
     def set_of(self, name):
         return self.open_sets[name]
+
+    def by_size(self):
+        """The open names, ordered by their open's size, then by name."""
+        sets = self.open_sets
+        return sorted(sets, key=lambda name: (len(sets[name]), name))
+
+    def mask_of(self, points):
+        return sum(map(self.bit.__getitem__, frozenset(points)))
+
+    def points_of(self, m):
+        return frozenset(p for p, b in self.bit.items() if m & b)
+
+    def closure_mask(self, m):
+        return sum(b for b, u in self.least.items() if u & m)
+
+    def interior_mask(self, m):    # U_q lies in U_p for each q in U_p
+        return sum(b for b, u in self.least.items() if u & m == u)
+
+    def saturation_mask(self, m):
+        return functools.reduce(operator.or_, (u for b, u in self.least.items()
+                                               if m & b), 0)
 
 
 def topology_frame(space):
@@ -138,10 +164,7 @@ def topology_frame(space):
     Built once per space and shared: every caller gets the same frame,
     which nobody may mutate.
     """
-    cached = space.__dict__.get("_topology_frame")
-    if cached is None:
-        cached = space.__dict__["_topology_frame"] = TopologyFrame(space)
-    return cached
+    return space._frame()
 
 
 class ContinuousMap:
@@ -177,7 +200,7 @@ def continuity_witness(phi):
         if phi.mapping[p] not in phi.target.full:
             raise PointUnknown("image %r not in target" % (phi.mapping[p],))
     for V in phi.target.sorted_opens():
-        if not phi.source.is_open(phi.preimage(V)):
+        if phi.preimage(V) not in phi.source.opens:
             return V
     return None
 
@@ -189,6 +212,7 @@ def open_frame(phi):
         raise NotContinuous("preimage of %s is not open" % set_name(witness))
     src_frame = topology_frame(phi.target)
     tgt_frame = topology_frame(phi.source)
-    mapping = {set_name(V): set_name(phi.preimage(V)) for V in phi.target.opens}
+    mapping = {name: tgt_frame.element[tgt_frame.mask_of(phi.preimage(V))]
+               for name, V in src_frame.open_sets.items()}
     return FrameMorphism(src_frame, tgt_frame, mapping)
 

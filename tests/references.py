@@ -4,15 +4,21 @@ The package uses none of these.  They are the textbook forms: box and
 diamond over node subsets, the transition-morphism and simulation
 verdicts of a node map, the plot that a finite Boolean algebra induces
 through a box table, and a frame's order read off its up sets alone,
-with the laws the package checks on int masks restated over it.
+with the laws the package checks on int masks restated over it.  The
+space operators, the topology check, the lift, the map classification
+and the harvest also appear here in the forms that scan every open, every
+pair of opens or points, and every candidate flower; the package decides
+them with per-point tables.
 """
 
 import itertools
+import operator
 
-from plotgarden.garden import _enumerate_flowers
+from plotgarden.garden import Flower, point_filters
 from plotgarden.generators import _close_topology
+from plotgarden.lattice import Filter
 from plotgarden.plot import validate_plot
-from plotgarden.topology import set_name, validate_space
+from plotgarden.topology import set_name, topology_frame, validate_space
 from plotgarden.transition import TransitionStructure
 
 
@@ -204,7 +210,7 @@ def harvest_patterns(g, order):
     """The stalk/bloom patterns that survive pruning in rounds against
     the live roots, health judged by health_bounds."""
     roots_of = {}
-    for fl in _enumerate_flowers(g):
+    for fl in enumerate_flowers(g):
         roots_of.setdefault((fl.stalk, fl.bloom.generator), set()).add(
             fl.root)
     alive = set(roots_of)
@@ -238,3 +244,229 @@ def healthy_witness(g, order, flowers):
             if not order.le(x, a) and not g.alpha(x) & W:
                 return (fl, x, "no transition reaches it")
     return None
+
+
+# -- scans over every open, pair and candidate flower -----------------------
+
+def sorted_opens(space):
+    return sorted(space.opens, key=lambda o: (len(o), set_name(o)))
+
+
+def closure(space, E):
+    """Shave off every open missing E."""
+    E = frozenset(E)
+    return space.full - frozenset().union(*(V for V in space.opens if not V & E))
+
+
+def interior(space, E):
+    E = frozenset(E)
+    return frozenset().union(*(V for V in space.opens if V <= E))
+
+
+def specialization(space):
+    """The pairs (p, q) such that every open holding p holds q."""
+    return frozenset((p, q) for p, q in itertools.product(space.points, repeat=2)
+                     if all(q in V for V in space.opens if p in V))
+
+
+def saturation(space, E):
+    order = specialization(space)
+    return frozenset(q for q in space.points if any((p, q) in order for p in E))
+
+
+def lens(space, E):
+    return saturation(space, E) & closure(space, E)
+
+
+def topology_defect(points, opens):
+    """The message validate_space raises for a family of subsets, or None
+    when it is a topology: the first missing union or intersection of a
+    pair of members, in name order."""
+    opens = frozenset(map(frozenset, opens))
+    full = frozenset(points)
+    for V in opens:
+        if not V <= full:
+            return "open %s is not a subset of the points" % set_name(V)
+    if frozenset() not in opens:
+        return "missing the empty set"
+    if full not in opens:
+        return "missing the full point set %s" % set_name(full)
+    for U, V in itertools.combinations(sorted(opens, key=set_name), 2):
+        if U | V not in opens:
+            return "missing union %s" % set_name(U | V)
+        if U & V not in opens:
+            return "missing intersection %s" % set_name(U & V)
+    return None
+
+
+def transitivity_defect(elements, leq):
+    """The message validate_frame raises for a reflexive, antisymmetric
+    relation that is not transitive, or None: the first triple in the
+    order of the relation's pair set."""
+    elements = sorted(set(elements), key=str)
+    pairs = set()
+    for a, b in leq:
+        pairs.add((a, b))
+    for a, b in pairs:
+        for c in elements:
+            if (b, c) in pairs and (a, c) not in pairs:
+                return "not transitive via %r" % ((a, b, c),)
+    return None
+
+
+def eligible_points(plot):
+    """Per open name, the point masks eligible for box and for diamond:
+    the points all of whose nodes' valued successor images lie inside,
+    or meet, the open."""
+    frame = topology_frame(plot.space)
+    sigma, succ = plot.valuation, plot.structure.succ
+    images = {p: {frame.mask_of(sigma[s] for s in succ[n])
+                  for n in plot.structure.nodes if sigma[n] == p}
+              for p in plot.space.points}
+    return {U: (sum(frame.bit[p] for p, ms in images.items()
+                    if all(m & u == m for m in ms)),
+                sum(frame.bit[p] for p, ms in images.items()
+                    if all(m & u for m in ms)))
+            for U, u in frame.mask.items()}
+
+
+def lift(plot):
+    """The lifted box and diamond tables by open name: the join of every
+    open inside the eligible points."""
+    frame = topology_frame(plot.space)
+    box, diamond = {}, {}
+    for U, (B, D) in eligible_points(plot).items():
+        box[U], diamond[U] = (frame.join_all(V for V, v in frame.mask.items()
+                                             if v & E == v) for E in (B, D))
+    return box, diamond
+
+
+def lift_defect(plot, box, diamond):
+    """The first failure of the lift's biconditional over every pair of
+    opens, as lift_operators words it, or None."""
+    frame = topology_frame(plot.space)
+    opens = frame.mask
+    for U, (B, D) in eligible_points(plot).items():
+        box_u, dia_u = opens[box[U]], opens[diamond[U]]
+        for V, v in opens.items():
+            if (v & B == v) != (v & box_u == v):
+                return "box biconditional fails at U=%s V=%s" % (U, V)
+            if (v & D == v) != (v & dia_u == v):
+                return "diamond biconditional fails at U=%s V=%s" % (U, V)
+    return None
+
+
+def classify_plot_map(m):
+    """plot.classify_plot_map's report, with up and minus scanned over
+    the specialization pairs and every open, and the lens by its scans."""
+    src, tgt = m.source, m.target
+    sigma, tau = src.valuation, tgt.valuation
+    Phi, phi = m.node_map.mapping, m.point_map.mapping
+    report = {"is_plot_map": True, "up_condition": None,
+              "minus_condition": None, "is_lentile": None, "witnesses": {}}
+    for n in src.structure.nodes:
+        if phi[sigma[n]] != tau[Phi[n]]:
+            report["is_plot_map"] = False
+            report["witnesses"]["square"] = n
+            return report
+    for P in src.structure.nodes:
+        out = tgt.structure.succ[Phi[P]]
+        lost = [R for R in src.structure.succ[P] if Phi[R] not in out]
+        if lost:
+            report["is_plot_map"] = False
+            report["witnesses"]["edge"] = (P, min(lost, key=str))
+            return report
+
+    T = tgt.space
+    order = specialization(T)
+    opens = sorted_opens(T)
+    held = {"up": True, "minus": True, "lentile": True}
+    for P in src.structure.nodes:
+        E = frozenset(phi[sigma[s]] for s in src.structure.succ[P])
+        W2 = frozenset(tau[R] for R in tgt.structure.succ[Phi[P]])
+        found = {}
+        for r in sorted(W2, key=str):
+            if "up" not in found and not any((s, r) in order for s in E):
+                found["up"] = (r,)
+            if "minus" not in found:
+                V = next((V for V in opens if r in V and not V & E), None)
+                if V is not None:
+                    found["minus"] = (r, set_name(V))
+        outside = sorted(W2 - lens(T, E), key=str)
+        if outside:
+            found["lentile"] = (outside[0],)
+        for law in ("up", "minus", "lentile"):
+            if law in found and held[law]:
+                r, *rest = found[law]
+                held[law] = False
+                R = next(R for R in sorted(tgt.structure.succ[Phi[P]], key=str)
+                         if tau[R] == r)
+                report["witnesses"][law] = (P, R, *rest)
+    report["up_condition"] = held["up"]
+    report["minus_condition"] = held["minus"]
+    report["is_lentile"] = held["lentile"]
+    return report
+
+
+def enumerate_flowers(g):
+    """Every candidate flower, point by point: the stalks in pdd(p) and
+    the blooms below pbb(p)'s generator, each by name."""
+    fr = g.bed.frame
+    flowers = []
+    for p in g.space.points:
+        pf = point_filters(g, p)
+        blooms = [Filter(fr, c)
+                  for c in sorted(fr.down(pf["pbb"].generator), key=str)]
+        flowers += [Flower(p, a, bloom)
+                    for a in sorted(pf["pdd"], key=str) for bloom in blooms]
+    return flowers
+
+
+def harvest_flowers(g):
+    """The surviving flowers of garden.harvest, in its order, pruned in
+    rounds over the enumerated candidates with each health bound folded
+    over every element."""
+    fr = g.bed.frame
+    flowers = enumerate_flowers(g)
+    live = frozenset(fl.root for fl in flowers)
+    alive = {(fl.stalk, fl.bloom.generator) for fl in flowers}
+    bounds = {}
+    while True:
+        kept = set()
+        for a, c in alive:
+            W = (g.alpha(c) - g.alpha(a)) & live
+            if W not in bounds:
+                bounds[W] = (
+                    fr.meet_all([x for x in fr.elements if W <= g.alpha(x)]),
+                    fr.join_all([x for x in fr.elements if not g.alpha(x) & W]))
+            m, M = bounds[W]
+            if fr.le(c, m) and fr.le(M, a):
+                kept.add((a, c))
+        alive = kept
+        roots = frozenset(fl.root for fl in flowers
+                          if (fl.stalk, fl.bloom.generator) in alive)
+        if roots == live:
+            return [fl for fl in flowers
+                    if (fl.stalk, fl.bloom.generator) in alive]
+        live = roots
+
+
+def frame_morphism_pairs(mapping, source, target):
+    """lattice.check_frame_morphism's verdict, scanning every pair of
+    source masks for each law."""
+    f = dict(mapping)
+    violations = []
+    if f[source.top] != target.top:
+        violations.append(("top", source.top))
+    if f[source.bottom] != target.bottom:
+        violations.append(("bottom", source.bottom))
+    rows = [(a, m, target.mask[f[a]]) for a, m in source.mask.items()]
+    image_of = {m: i for _, m, i in rows}
+    for law, op in (("meet", operator.and_), ("join", operator.or_)):
+        bad = next(((a, b) for a, m, i in rows for b, n, j in rows
+                    if image_of[op(m, n)] != op(i, j)), None)
+        if bad:
+            violations.append((law, bad))
+    return {"is_frame_morphism": not violations,
+            "is_surjective": set(f.values()) == set(target.elements),
+            "violations": violations}

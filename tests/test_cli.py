@@ -7,7 +7,8 @@ import pytest
 import plotgarden.cli as cli
 from plotgarden.cli import run_cli
 from plotgarden.garden import Flower
-from plotgarden.generators import Profile, generate_instances, random_plot
+from plotgarden.generators import (Profile, generate_instances, parse_profile,
+                                   random_plot)
 from plotgarden.workspace import instance_workspace, parse_workspace
 from conftest import fixture_with
 
@@ -129,6 +130,19 @@ def test_oracle_command(capsys):
     assert run_cli(["oracle", "ORACLE.HARVEST", ref("sierp_garden")]) == 0
     assert run_cli(["oracle", "LAW.220G", ref("sierp")]) == 0
     assert run_cli(["oracle", "LAW.999", ref("sierp")]) == 2
+
+
+def test_oracle_runs_only_the_oracle_asked_for(tmp_path, capsys):
+    # an 8-point plot whose lifted frame is over ORACLE.FILTERS' cap: the
+    # lens oracle, capped at 8 points, still runs
+    plot = random_plot(random.Random("medium:0"),
+                       parse_profile("nodes=16,points=8"))
+    assert len(plot.space.opens) > 16
+    target = write_plot(tmp_path, plot)
+    assert run_cli(["oracle", "ORACLE.LENS", target]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert run_cli(["oracle", "ORACLE.FILTERS", target]) == 2
+    assert "oracle cap is 16" in capsys.readouterr().err
 
 
 def test_bad_inputs(tmp_path, capsys):
