@@ -96,6 +96,9 @@ def _build_geometric_unit(plot):
 
     records = []
     mapping = {}
+    # images land on the harvest's own flowers, so later lookups hit by identity
+    own = {(fl.root, fl.stalk, fl.bloom.generator): fl
+           for fl in target.structure.nodes}
     flower_memo = {}
     flower_fail = None
     for n in plot.structure.nodes:
@@ -104,7 +107,7 @@ def _build_geometric_unit(plot):
         key = (root, stalk, gen)
         fl = flower_memo.get(key)
         if fl is None:
-            fl = Flower(root, stalk, Filter(fr, gen))
+            fl = own.get(key) or Flower(root, stalk, Filter(fr, gen))
             if _flower_fault(G, root, stalk, gen):
                 flower_fail = fl
             flower_memo[key] = fl
@@ -118,9 +121,9 @@ def _build_geometric_unit(plot):
         if bad is not None:
             well_formed, witness = False, bad
     if well_formed:
-        stray = image - frozenset(target.structure.nodes)
+        stray = [fl for key, fl in flower_memo.items() if key not in own]
         if stray:
-            well_formed, witness = False, sorted(stray, key=repr)[0]
+            well_formed, witness = False, min(stray, key=repr)
     records.append(_record("LAW.250G", well_formed, witness))
     if not well_formed:
         return None, records
@@ -322,15 +325,17 @@ def _verify_garden(g):
                 "LAW.250K", False,
                 [r for r in unit_records if not r["passed"]][0]["witness"]))
             return records
-        formula = True
+        # the unit's image of fl, part by part, against the covering's
+        unit = eta_unit.node_map.mapping
         wit = None
         for fl in flowers:
-            expected = Flower(fl.root, g.covering(fl.stalk),
-                              images[fl.bloom.generator][0])
-            if eta_unit.node_map.mapping[fl] != expected:
-                formula, wit = False, fl
+            got = unit[fl]
+            if (got.root, got.stalk, got.bloom.generator) != (
+                    fl.root, g.covering(fl.stalk),
+                    images[fl.bloom.generator][0].generator):
+                wit = fl
                 break
-        records.append(_record("LAW.250K", formula, wit))
+        records.append(_record("LAW.250K", wit is None, wit))
 
         eta_garden, alg_records = _algebraic_unit_core(g)
         records.append(alg_records[0])

@@ -15,7 +15,7 @@ from . import garden as garden_mod
 from . import plot as plot_mod
 from . import workspace as workspace_mod
 from .garden import GardenError
-from .lattice import LatticeError
+from .lattice import Filter, LatticeError
 from .plot import PlotError, PlotMap, PostconditionFailure
 from .topology import TopologyError
 
@@ -62,26 +62,27 @@ def _sizes(kind, obj):
 
 
 def _flower_record(g):
-    # The record needs the flowers only, not the successor sets that
-    # flower_structure would also build.
-    enumerated = garden_mod._enumerate_flowers(g)
-    flowers = frozenset(enumerated)
+    """LAW.240B per (point, pattern), building no flowers: _flower_fault
+    on each pattern at each of its roots, with the least faulty triple by
+    its flower's repr as witness, then the count against
+    sum_p |pdd(p)| * |down(pbb(p))|."""
+    patterns = garden_mod._patterns(g)
     frame = g.bed.frame
-    expected = 0
-    for p in sorted(g.space.points):
+    expected = found = 0
+    faults = []
+    for p, b in g.top_frame.bit.items():
         pf = garden_mod.point_filters(g, p)
         expected += len(pf["pdd"]) * len(frame.down(pf["pbb"].generator))
-    bad = None
-    for fl in sorted(flowers, key=repr):
-        fault = garden_mod._flower_fault(g, fl.root, fl.stalk,
-                                         fl.bloom.generator)
-        if fault:
-            bad = (fault, repr(fl))
-            break
-    if bad is None and len(enumerated) != len(flowers):
-        bad = ("duplicate", len(enumerated), len(flowers))
-    if bad is None and expected != len(flowers):
-        bad = ("count", expected, len(flowers))
+        for (a, c), roots in patterns.items():
+            if roots & b:
+                found += 1
+                fault = garden_mod._flower_fault(g, p, a, c)
+                if fault:
+                    flower = garden_mod.Flower(p, a, Filter(frame, c))
+                    faults.append((repr(flower), fault))
+    bad = min(faults)[::-1] if faults else None    # (fault, least name)
+    if bad is None and expected != found:
+        bad = ("count", expected, found)
     return {"id": "LAW.240B", "passed": bad is None, "witness": bad}
 
 

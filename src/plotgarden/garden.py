@@ -307,14 +307,19 @@ class Flower:
 
 
 def _patterns(g):
-    """Pattern (a, c) -> the mask of the roots p with a in pdd(p), c <= pbb(p)."""
-    fr, bit = g.bed.frame, g.top_frame.bit
-    pfs = {bit[p]: point_filters(g, p) for p in g.space.points}
-    stalk = {x: sum(b for b, pf in pfs.items() if x in pf["pdd"]) for x in fr.mask}
-    bloom = {x: sum(b for b, pf in pfs.items() if fr.le(x, pf["pbb"].generator))
-             for x in fr.mask}
-    return {(a, c): ra & rc for a, ra in stalk.items() if ra
+    """Pattern (a, c) -> the mask of the roots p with a in pdd(p), c <= pbb(p);
+    built once per garden and shared by LAW.240B and the harvest."""
+    found = g.__dict__.get("_patterns")
+    if found is None:
+        fr, bit = g.bed.frame, g.top_frame.bit
+        pfs = {bit[p]: point_filters(g, p) for p in g.space.points}
+        stalk = {x: sum(b for b, pf in pfs.items() if x in pf["pdd"]) for x in fr.mask}
+        bloom = {x: sum(b for b, pf in pfs.items() if fr.le(x, pf["pbb"].generator))
+                 for x in fr.mask}
+        found = g.__dict__["_patterns"] = {
+            (a, c): ra & rc for a, ra in stalk.items() if ra
             for c, rc in bloom.items() if ra & rc}
+    return found
 
 
 def _grow(g, roots_of):
@@ -494,7 +499,9 @@ def functor_F_report(gm):
     phi = gm.point_map
     src_plot = harvest(Y)
     tgt_plot = harvest(X)
-    tgt_nodes = frozenset(tgt_plot.structure.nodes)
+    # images land on the target's own flowers, so later lookups hit by identity
+    own = {(fl.root, fl.stalk, fl.bloom.generator): fl
+           for fl in tgt_plot.structure.nodes}
     frX = X.bed.frame
     records = []
 
@@ -513,11 +520,13 @@ def functor_F_report(gm):
                    filter_images(f, fl.bloom, "inverse").generator)
             image_pattern[key] = got
         a2, c2 = got
-        img = Flower(phi(fl.root), a2, Filter(frX, c2))
-        if flower_fail is None and _flower_fault(X, img.root, a2, c2):
+        root = phi(fl.root)
+        img = own.get((root, a2, c2))
+        if img is None:
+            img = Flower(root, a2, Filter(frX, c2))
+            pruned = pruned or img
+        if flower_fail is None and _flower_fault(X, root, a2, c2):
             flower_fail = img
-        if pruned is None and img not in tgt_nodes:
-            pruned = img
         mapping[fl] = img
     if not record("LAW.240G", flower_fail is None, flower_fail):
         return None, records

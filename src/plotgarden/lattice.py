@@ -269,26 +269,29 @@ def filter_images(f, filt, direction):
     """Transfer a filter along a frame morphism f.
 
     direction 'inverse': filt lives on f's target; the result is
-    {y : f(y) in filt} on the source, returned by its least element.
-    direction 'direct': filt lives on f's source; the result is the upward
-    closure of the image, generated by f(generator).
-    Both results are re-checked against their set definitions; a mismatch
-    raises NotAFilter (impossible for valid inputs, kept as an assertion).
+    {y : f(y) in filt} on the source, returned by its least element, the
+    meet of its members' masks.  Every member lies above that meet, so
+    the set is principal exactly when it has as many members as the
+    meet's upper section.  direction 'direct': filt lives on f's source;
+    the result is the upward closure of the image, generated by
+    f(generator), which it equals exactly when every f(x), x in filt,
+    lies above f(generator).  Both tests are exact for any mapping, and a
+    failure raises NotAFilter (impossible for valid inputs).
     """
+    mapping = f.mapping
     if direction == "inverse":
-        src = f.source
-        members = frozenset(y for y in src.elements if f(y) in filt)
-        gen = src.meet_all(members)
-        if src.up(gen) != members:
+        src, tm = f.source, filt.frame.mask
+        c = tm[filt.generator]
+        members = [m for y, m in src.mask.items() if tm[mapping[y]] & c == c]
+        gen = src.element[functools.reduce(operator.and_, members, src.mask[src.top])]
+        if len(src.up(gen)) != len(members):
             raise NotAFilter("inverse image not principal at %r" % (gen,))
         return Filter(src, gen)
     if direction == "direct":
         tgt = f.target
-        gen = f(filt.generator)
-        images = {tgt.mask[f(x)] for x in filt.members()}
-        closure = frozenset(
-            y for y, m in tgt.mask.items() if any(i & m == i for i in images))
-        if tgt.up(gen) != closure:
+        gen = mapping[filt.generator]
+        m = tgt.mask[gen]
+        if any(tgt.mask[mapping[x]] & m != m for x in filt.members()):
             raise NotAFilter("direct image not principal at %r" % (gen,))
         return Filter(tgt, gen)
     raise ValueError("direction must be 'inverse' or 'direct'")

@@ -9,7 +9,7 @@ checked once per lifted bed.
 """
 
 from .lattice import FrameMorphism
-from .topology import ContinuousMap, set_name, topology_frame
+from .topology import ContinuousMap, topology_frame
 from .transition import NodeMap
 
 
@@ -174,11 +174,15 @@ def classify_plot_map(m):
     of an image node lands, valued, below some valued source successor
     (up_condition), inside every open neighbourhood's reach
     (minus_condition), and inside the lens closure of the valued
-    successor image (is_lentile).  For E the pushed image and W2 the
-    image node's, up holds iff W2 lies in E's saturation, the union of the
-    least opens U_s over E, and minus iff in its closure, the points r whose
-    U_r meets E; U_r is the first open around r, in sorted_opens order,
-    to miss E.  Lentile, read off FiniteSpace.lens, agrees with both.
+    successor image (is_lentile).  Valued images are point masks of the
+    target space.  For E the pushed image and W2 the image node's, up
+    holds iff W2 lies in E's saturation, the union of the least opens U_s
+    over E, and minus iff in its closure, the points r whose U_r meets E;
+    U_r is the first open around r, in sorted_opens order, to miss E.
+    Lentile, read off the frame's lens_mask, which FiniteSpace.lens also
+    reads, agrees with both.  The three are computed once per distinct E
+    and tested once per distinct (E, W2); the first bad point is the
+    lowest bit of W2 outside one, the least by str.
     """
     src, tgt = m.source, m.target
     sigma, tau = src.valuation, tgt.valuation
@@ -191,20 +195,19 @@ def classify_plot_map(m):
             report["witnesses"]["square"] = n
             return report
 
-    src_img = _successor_images(src)
-    tgt_img = _successor_images(tgt)
-    phi_img = {}      # valued successor image -> its image in T
-
-    def pushed(W):
-        E = phi_img.get(W)
-        if E is None:
-            E = frozenset(phi[s] for s in W)
-            phi_img[W] = E
-        return E
+    # per node, its pushed valued successor image E and its image node's
+    # W2, as point masks of T; bit follows T.points, sorted by str
+    frame = tgt.space._frame()
+    src_img, tgt_img = _successor_images(src), _successor_images(tgt)
+    images = [(P, src_img[P], tgt_img[Phi[P]]) for P in src.structure.nodes]
+    pushed = {W: frame.mask_of(map(phi.__getitem__, W))
+              for W in {W for _, W, _ in images}}
+    valued = {W: frame.mask_of(W) for W in {W2 for _, _, W2 in images}}
+    rows = [(P, pushed[W], valued[W2]) for P, W, W2 in images]
 
     fibred = _groups_are_fibres(tgt)
-    for P in src.structure.nodes:
-        if fibred and pushed(src_img[P]) <= tgt_img[Phi[P]]:
+    for P, E, W2 in rows:
+        if fibred and not E & ~W2:
             continue
         out = tgt.structure.succ[Phi[P]]
         lost = [R for R in src.structure.succ[P] if Phi[R] not in out]
@@ -213,37 +216,34 @@ def classify_plot_map(m):
             report["witnesses"]["edge"] = (P, min(lost, key=str))
             return report
 
-    T = tgt.space
     cover = {}        # pushed image -> its saturation, closure and lens in T
-    verdicts = {}     # (pushed image, target image) -> first bad point per law
+    verdicts = {}     # (pushed image, target image) -> first bad bit per law
     up = minus = lentile = True
 
-    def locate(P, bad_point):
-        # concrete witness transition: a successor of Phi(P) valued at bad_point
+    def locate(P, bad):
+        # concrete witness transition: a successor of Phi(P) valued at bit bad
         for R in sorted(tgt.structure.succ[Phi[P]], key=str):
-            if tau[R] == bad_point:
+            if frame.bit[tau[R]] == bad:
                 return R
         raise AssertionError("witness vanished")
 
-    for P in src.structure.nodes:
-        E = pushed(src_img[P])
-        W2 = tgt_img[Phi[P]]
-        key = (E, W2)
-        got = verdicts.get(key)
+    for P, E, W2 in rows:
+        got = verdicts.get((E, W2))
         if got is None:
             sets = cover.get(E)
             if sets is None:
-                sets = cover[E] = (T.saturation(E), T.closure(E), T.lens(E))
-            got = verdicts[key] = [min(W2 - S, key=str, default=None) for S in sets]
+                sets = cover[E] = (frame.saturation_mask(E), frame.closure_mask(E),
+                                   frame.lens_mask(E))
+            got = verdicts[E, W2] = [W2 & ~S & -(W2 & ~S) for S in sets]
         bad_up, bad_minus, bad_lens = got
-        if bad_up is not None and up:
+        if bad_up and up:
             up = False
             report["witnesses"]["up"] = (P, locate(P, bad_up))
-        if bad_minus is not None and minus:
+        if bad_minus and minus:
             minus = False
-            report["witnesses"]["minus"] = (P, locate(P, bad_minus), set_name(
-                T.saturation({bad_minus})))
-        if bad_lens is not None and lentile:
+            report["witnesses"]["minus"] = (P, locate(P, bad_minus),
+                                            frame.element[frame.least[bad_minus]])
+        if bad_lens and lentile:
             lentile = False
             report["witnesses"]["lentile"] = (P, locate(P, bad_lens))
 

@@ -3,7 +3,9 @@
 Opens are frozensets of points.  A space's TopologyFrame holds them as point
 masks, with the least open U_p of each point p: every open is the union of
 the U_p inside it (Alexandrov), so the space operators and the topology laws
-read this per-point table.  The module also turns a continuous map into the
+read this per-point table: its *_mask operators act on point masks, and
+FiniteSpace's operators call them.  lens_mask is the lens that the lentile
+test of a plot map reads.  The module also turns a continuous map into the
 inverse-image frame morphism, realizing the contravariant open-set functor.
 """
 
@@ -81,7 +83,8 @@ class FiniteSpace:
         return frame.points_of(frame.saturation_mask(frame.mask_of(E)))
 
     def lens(self, E):
-        return self.saturation(E) & self.closure(E)
+        frame = self._frame()
+        return frame.points_of(frame.lens_mask(frame.mask_of(E)))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSpace):
@@ -155,6 +158,9 @@ class TopologyFrame(FiniteFrame):
     def saturation_mask(self, m):
         return functools.reduce(operator.or_, (u for b, u in self.least.items()
                                                if m & b), 0)
+
+    def lens_mask(self, m):
+        return self.saturation_mask(m) & self.closure_mask(m)
 
 
 def topology_frame(space):

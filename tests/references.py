@@ -8,16 +8,20 @@ with the laws the package checks on int masks restated over it.  The
 space operators, the topology check, the lift, the map classification
 and the harvest also appear here in the forms that scan every open, every
 pair of opens or points, and every candidate flower; the package decides
-them with per-point tables.
+them with per-point tables.  LAW.240B over every candidate flower, the
+filter transfers re-checked against their set definitions, and the map
+classification on frozensets of points are kept in the forms the package
+used before it decided them per pattern and on masks.
 """
 
 import itertools
 import operator
 
+from plotgarden import garden as garden_mod
 from plotgarden.garden import Flower, point_filters
 from plotgarden.generators import _close_topology
-from plotgarden.lattice import Filter
-from plotgarden.plot import validate_plot
+from plotgarden.lattice import Filter, NotAFilter
+from plotgarden.plot import _groups_are_fibres, _successor_images, validate_plot
 from plotgarden.topology import set_name, topology_frame, validate_space
 from plotgarden.transition import TransitionStructure
 
@@ -470,3 +474,100 @@ def frame_morphism_pairs(mapping, source, target):
     return {"is_frame_morphism": not violations,
             "is_surjective": set(f.values()) == set(target.elements),
             "violations": violations}
+
+
+# -- LAW.240B, filter transfers and the classification on sets --------------
+
+def flower_record(g):
+    """cli._flower_record over every candidate flower: each one tested,
+    in repr order, through garden._flower_fault, then the count."""
+    flowers = frozenset(enumerate_flowers(g))
+    frame = g.bed.frame
+    expected = 0
+    for p in sorted(g.space.points):
+        pf = point_filters(g, p)
+        expected += len(pf["pdd"]) * len(frame.down(pf["pbb"].generator))
+    bad = None
+    for fl in sorted(flowers, key=repr):
+        fault = garden_mod._flower_fault(g, fl.root, fl.stalk,
+                                         fl.bloom.generator)
+        if fault:
+            bad = (fault, repr(fl))
+            break
+    if bad is None and expected != len(flowers):
+        bad = ("count", expected, len(flowers))
+    return {"id": "LAW.240B", "passed": bad is None, "witness": bad}
+
+
+def filter_images(f, filt, direction):
+    """lattice.filter_images with both results re-checked against their
+    set definitions: the inverse image's members and the direct image's
+    upward closure, each against the generator's upper section."""
+    if direction == "inverse":
+        src = f.source
+        members = frozenset(y for y in src.elements if f(y) in filt)
+        gen = src.meet_all(members)
+        if src.up(gen) != members:
+            raise NotAFilter("inverse image not principal at %r" % (gen,))
+        return Filter(src, gen)
+    tgt = f.target
+    gen = f(filt.generator)
+    images = {tgt.mask[f(x)] for x in filt.members()}
+    closure = frozenset(
+        y for y, m in tgt.mask.items() if any(i & m == i for i in images))
+    if tgt.up(gen) != closure:
+        raise NotAFilter("direct image not principal at %r" % (gen,))
+    return Filter(tgt, gen)
+
+
+def classify_plot_map_on_sets(m):
+    """plot.classify_plot_map with valued images as frozensets of points:
+    pushed through the point map one point at a time, and tested against
+    the space's saturation, closure and lens, the first bad point the
+    least by str."""
+    src, tgt = m.source, m.target
+    sigma, tau = src.valuation, tgt.valuation
+    Phi, phi = m.node_map.mapping, m.point_map.mapping
+    report = {"is_plot_map": True, "up_condition": None,
+              "minus_condition": None, "is_lentile": None, "witnesses": {}}
+    for n in src.structure.nodes:
+        if phi[sigma[n]] != tau[Phi[n]]:
+            report["is_plot_map"] = False
+            report["witnesses"]["square"] = n
+            return report
+    src_img = _successor_images(src)
+    tgt_img = _successor_images(tgt)
+
+    def pushed(W):
+        return frozenset(phi[s] for s in W)
+
+    fibred = _groups_are_fibres(tgt)
+    for P in src.structure.nodes:
+        if fibred and pushed(src_img[P]) <= tgt_img[Phi[P]]:
+            continue
+        out = tgt.structure.succ[Phi[P]]
+        lost = [R for R in src.structure.succ[P] if Phi[R] not in out]
+        if lost:
+            report["is_plot_map"] = False
+            report["witnesses"]["edge"] = (P, min(lost, key=str))
+            return report
+
+    T = tgt.space
+    held = {"up": True, "minus": True, "lentile": True}
+    for P in src.structure.nodes:
+        E = pushed(src_img[P])
+        W2 = tgt_img[Phi[P]]
+        for law, S in (("up", T.saturation(E)), ("minus", T.closure(E)),
+                       ("lentile", T.lens(E))):
+            bad = min(W2 - S, key=str, default=None)
+            if bad is None or not held[law]:
+                continue
+            held[law] = False
+            R = next(R for R in sorted(tgt.structure.succ[Phi[P]], key=str)
+                     if tau[R] == bad)
+            report["witnesses"][law] = (P, R) + (
+                (set_name(T.saturation({bad})),) if law == "minus" else ())
+    report["up_condition"] = held["up"]
+    report["minus_condition"] = held["minus"]
+    report["is_lentile"] = held["lentile"]
+    return report

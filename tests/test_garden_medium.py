@@ -231,10 +231,12 @@ def test_flower_record_matches_flower_structure(garden):
     assert got == flower_record_from_structure(garden)
 
 
-def test_flower_record_counts_a_repeated_flower(sierp_garden, monkeypatch):
-    flowers = _enumerate_flowers(sierp_garden)
-    monkeypatch.setattr(garden_mod, "_enumerate_flowers",
-                        lambda g: flowers + flowers[:1])
+def test_flower_record_counts_a_dropped_root(sierp_garden, monkeypatch):
+    count = len(_enumerate_flowers(sierp_garden))
+    patterns = dict(garden_mod._patterns(sierp_garden))
+    key = min(patterns, key=str)
+    patterns[key] &= patterns[key] - 1      # drop the pattern's lowest root bit
+    monkeypatch.setattr(garden_mod, "_patterns", lambda g: patterns)
     got = cli._flower_record(sierp_garden)
     assert not got["passed"]
-    assert got["witness"] == ("duplicate", len(flowers) + 1, len(flowers))
+    assert got["witness"] == ("count", count, count - 1)
