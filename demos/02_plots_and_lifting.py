@@ -15,11 +15,10 @@ diamond_E = [n for n in structure.nodes if structure.successors(n) & E]
 print("box({Q}) on nodes:    ", box_E)
 print("diamond({Q}) on nodes:", diamond_E)
 
-lifted = lift_operators(plot)
+bed = lift_operators(plot)
 print("lifted tables over the opens:")
-for u in lifted.frame.elements:
-    print("  %-6s  box -> %-6s  diamond -> %s"
-          % (u, lifted.box_sigma[u], lifted.diamond_sigma[u]))
+for u in bed.frame.elements:
+    print("  %-6s  box -> %-6s  diamond -> %s" % (u, bed.box[u], bed.diamond[u]))
 
 print("law records:")
 for record in lift_report(plot):

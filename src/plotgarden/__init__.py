@@ -15,7 +15,7 @@ from .topology import (ContinuousMap, FiniteSpace, TopologyFrame,
                        continuity_witness, open_frame, set_name,
                        topology_frame, validate_space)
 from .transition import NodeMap, TransitionStructure
-from .plot import (LiftedBed, NotLentile, Plot, PlotMap, PostconditionFailure,
+from .plot import (NotLentile, Plot, PlotMap, PostconditionFailure,
                    classify_plot_map, compose_plot_maps, functor_G_arrow,
                    functor_G_object, identity_plot_map, lift_operators,
                    validate_plot)

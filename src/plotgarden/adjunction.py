@@ -128,7 +128,6 @@ def _build_geometric_unit(plot):
     if not well_formed:
         return None, records
 
-    preserved = True
     seen = set()
     for n in plot.structure.nodes:
         fl = mapping[n]
@@ -136,14 +135,11 @@ def _build_geometric_unit(plot):
         if key in seen:
             continue
         seen.add(key)
-        if not node_img[n] <= _region(G, fl.stalk, fl.bloom.generator):
-            preserved = False
+        region = _region(G, fl.stalk, fl.bloom.generator)
+        if G.top_frame.mask_of(node_img[n]) & ~region:
             records.append(_record("LAW.250F", False, n))
-            break
-    if preserved:
-        records.append(_record("LAW.250F", True))
-    else:
-        return None, records
+            return None, records
+    records.append(_record("LAW.250F", True))
 
     nm = NodeMap(plot.structure, target.structure, mapping)
     pm = ContinuousMap(plot.space, plot.space,

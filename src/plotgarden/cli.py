@@ -16,7 +16,7 @@ from . import plot as plot_mod
 from . import workspace as workspace_mod
 from .garden import GardenError
 from .lattice import Filter, LatticeError
-from .plot import PlotError, PlotMap, PostconditionFailure
+from .plot import NotLentile, PlotError, PlotMap, PostconditionFailure
 from .topology import TopologyError
 
 
@@ -111,12 +111,13 @@ def law_suite(kind, obj):
         records += adjunction.verify_idempotency(obj)["records"]
         return records
     if kind == "plot_map":
-        verdict = plot_mod.classify_plot_map(obj)
-        if not (verdict["is_plot_map"] and verdict["is_lentile"]):
+        # functor_G_arrow classifies the map, raising NotLentile unless it
+        # is a lentile plot map, and checks the garden morphism it builds,
+        # raising PostconditionFailure, an INTERNAL record, unless it passed
+        try:
+            plot_mod.functor_G_arrow(obj)
+        except NotLentile:
             return []
-        # functor_G_arrow checks the garden morphism it builds and raises
-        # PostconditionFailure, an INTERNAL record, unless it passed
-        plot_mod.functor_G_arrow(obj)
         records = [{"id": "LAW.230D", "passed": True, "witness": None}]
         records += adjunction.check_naturality("geometric", obj)["records"]
         return records
@@ -171,10 +172,10 @@ def _cmd_validate(args):
 def _cmd_lift(args):
     _, obj, kind = _load_ref(args.ref)
     _require_kind(kind, "plot", args.ref)
-    lifted = plot_mod.lift_operators(obj)
-    for name in lifted.frame.by_size():
+    bed = plot_mod.lift_operators(obj)
+    for name in bed.frame.by_size():
         print("%-12s  box=%-12s  diamond=%s"
-              % (name, lifted.box_sigma[name], lifted.diamond_sigma[name]))
+              % (name, bed.box[name], bed.diamond[name]))
     records = garden_mod.lift_report(obj)
     return _emit(args, records, instance={"ref": args.ref,
                                           "sizes": _sizes(kind, obj)})

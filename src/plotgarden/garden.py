@@ -101,23 +101,27 @@ def _bed_law_witnesses(bed):
 
 
 class Garden:
-    """A bed covering the topology of a finite space."""
+    """A bed covering the topology of a finite space through covering, a
+    surjective frame morphism onto the space's topology frame, top_frame.
+    The constructor derives the rest once: alpha_mask sends each bed
+    element to its open as a point mask, and alpha to the open's points."""
 
-    def __init__(self, bed, space, covering, alpha_sets, top_frame):
+    def __init__(self, bed, space, covering):
         self.bed = bed
         self.space = space
-        self.covering = covering        # FrameMorphism onto the topology frame
-        self.alpha_sets = alpha_sets    # element -> frozenset of points
-        self.top_frame = top_frame
+        self.covering = covering
+        self.top_frame = top = covering.target
+        self.alpha_mask = {x: top.mask[V] for x, V in covering.mapping.items()}
+        self._alpha_sets = {x: top.open_sets[V] for x, V in covering.mapping.items()}
 
     def alpha(self, x):
-        return self.alpha_sets[x]
+        return self._alpha_sets[x]
 
     def __eq__(self, other):
         if not isinstance(other, Garden):
             return NotImplemented
         return (self.bed == other.bed and self.space == other.space
-                and self.alpha_sets == other.alpha_sets)
+                and self.covering.mapping == other.covering.mapping)
 
     def __repr__(self):
         return "Garden(%d elements over %d points)" % (
@@ -133,7 +137,7 @@ def validate_garden(bed, space, covering):
     broken = bed_violations(bed)
     if broken:
         raise BedAxiomViolation(*broken[0])
-    alpha_sets = {}
+    mapping = {}
     for x in bed.frame.elements:
         if x not in covering:
             raise CoveringNotFrameMorphism("no open assigned to %r" % (x,))
@@ -141,17 +145,14 @@ def validate_garden(bed, space, covering):
         if V not in space.opens:
             raise CoveringNotFrameMorphism(
                 "value %s of %r is not open" % (set_name(V), x))
-        alpha_sets[x] = V
+        mapping[x] = set_name(V)
     top_frame = topology_frame(space)
-    mapping = {x: top_frame.element[top_frame.mask_of(V)]
-               for x, V in alpha_sets.items()}
     verdict = check_frame_morphism(mapping, bed.frame, top_frame)
     if not verdict["is_frame_morphism"]:
         raise CoveringNotFrameMorphism("%s at %s" % verdict["violations"][0])
     if not verdict["is_surjective"]:
         raise CoveringNotSurjective("covering misses some open set")
-    morphism = FrameMorphism(bed.frame, top_frame, mapping)
-    return Garden(bed, space, morphism, alpha_sets, top_frame)
+    return Garden(bed, space, FrameMorphism(bed.frame, top_frame, mapping))
 
 
 class GardenMorphism:
@@ -258,10 +259,10 @@ def point_filters(g, p):
     got = cache.get(p)
     if got is not None:
         return got
-    fr = g.bed.frame
-    nabla = frozenset(x for x in fr.elements if p in g.alpha(x))
-    pbb = frozenset(x for x in fr.elements if p in g.alpha(g.bed.box[x]))
-    pdd = frozenset(x for x in fr.elements if p not in g.alpha(g.bed.diamond[x]))
+    fr, alpha, b = g.bed.frame, g.alpha_mask, g.top_frame.bit[p]
+    nabla = frozenset(x for x in fr.elements if alpha[x] & b)
+    pbb = frozenset(x for x in fr.elements if alpha[g.bed.box[x]] & b)
+    pdd = frozenset(x for x in fr.elements if not alpha[g.bed.diamond[x]] & b)
     out = {}
     for members, key in ((nabla, "nabla"), (pbb, "pbb")):
         gen = fr.meet_all(members)
@@ -308,13 +309,14 @@ class Flower:
 
 def _patterns(g):
     """Pattern (a, c) -> the mask of the roots p with a in pdd(p), c <= pbb(p);
-    built once per garden and shared by LAW.240B and the harvest."""
+    built once per garden and shared by LAW.240B and the harvest.  a is in
+    pdd(p) iff p misses alpha(diamond(a)), so stalks are read off alpha_mask."""
     found = g.__dict__.get("_patterns")
     if found is None:
-        fr, bit = g.bed.frame, g.top_frame.bit
-        pfs = {bit[p]: point_filters(g, p) for p in g.space.points}
-        stalk = {x: sum(b for b, pf in pfs.items() if x in pf["pdd"]) for x in fr.mask}
-        bloom = {x: sum(b for b, pf in pfs.items() if fr.le(x, pf["pbb"].generator))
+        fr, top, alpha = g.bed.frame, g.top_frame, g.alpha_mask
+        pbb = {b: point_filters(g, p)["pbb"].generator for p, b in top.bit.items()}
+        stalk = {x: top.mask[top.top] & ~alpha[g.bed.diamond[x]] for x in fr.mask}
+        bloom = {x: sum(b for b, gen in pbb.items() if fr.le(x, gen))
                  for x in fr.mask}
         found = g.__dict__["_patterns"] = {
             (a, c): ra & rc for a, ra in stalk.items() if ra
@@ -347,9 +349,9 @@ def _flower_fault(g, root, stalk, gen):
 
 
 def _region(g, stalk, gen):
-    """Roots a flower with this stalk and bloom generator can step to:
-    covered by the generator but not by the stalk."""
-    return g.alpha(gen) - g.alpha(stalk)
+    """The transition region: the mask of the roots a flower with this stalk
+    and bloom generator steps to, covered by the generator but not the stalk."""
+    return g.alpha_mask[gen] & ~g.alpha_mask[stalk]
 
 
 def _transitions(g, flowers):
@@ -363,14 +365,14 @@ def _transitions(g, flowers):
     by_root = {}
     for fl in flowers:
         by_root.setdefault(fl.root, []).append(fl)
-    roots = frozenset(by_root)
+    roots = g.top_frame.mask_of(by_root)
     pattern = {}
     succ = {}
     for fl in flowers:
         key = (fl.stalk, fl.bloom.generator)
         s = pattern.get(key)
         if s is None:
-            s = _region(g, *key) & roots
+            s = g.top_frame.points_of(_region(g, *key) & roots)
             pattern[key] = s
         succ[fl] = s
     return TransitionStructure(by_root, succ=succ)
@@ -397,12 +399,11 @@ def healthy_witness(g, flowers):
     with this plain definition.
     """
     mask = g.bed.frame.mask
-    alpha = {x: g.top_frame.mask[g.covering(x)] for x in mask}
-    rows = [(x, mx, alpha[x]) for x, mx in mask.items()]
-    roots = sum(map(g.top_frame.bit.__getitem__, {fl.root for fl in flowers}))
+    rows = [(x, mx, g.alpha_mask[x]) for x, mx in mask.items()]
+    roots = g.top_frame.mask_of(fl.root for fl in flowers)
 
     def fault(a, c):    # a member's health depends on its stalk and bloom only
-        W, ma, mc = alpha[c] & ~alpha[a] & roots, mask[a], mask[c]
+        W, ma, mc = _region(g, a, c) & roots, mask[a], mask[c]
         for x, mx, ax in rows:
             if W & ax == W and mc & mx != mc:
                 return (x, "no transition escapes it")
@@ -443,12 +444,11 @@ def harvest(g):
     if cached is not None:
         return cached
     fr = g.bed.frame
-    mask = fr.mask
-    alpha = {x: g.top_frame.mask[g.covering(x)] for x in mask}
+    mask, alpha = fr.mask, g.alpha_mask
     roots_of = _patterns(g)  # stalk/bloom pattern -> mask of its candidate roots
     alive, live = {}, 0  # region -> [(stalk mask, bloom mask, pattern)] alive; roots
     for (a, c), roots in roots_of.items():
-        alive.setdefault(alpha[c] & ~alpha[a], []).append((mask[a], mask[c], (a, c)))
+        alive.setdefault(_region(g, a, c), []).append((mask[a], mask[c], (a, c)))
         live |= roots
     # per point bit: nabla's generator, and the join of the elements missing it
     nabla = {b: point_filters(g, p)["nabla"].generator
@@ -531,21 +531,15 @@ def functor_F_report(gm):
     if not record("LAW.240G", flower_fail is None, flower_fail):
         return None, records
 
-    preserved = True
-    rooted = src_plot.space.full - src_plot.unrooted_points
+    rooted = Y.top_frame.mask_of(src_plot.space.full - src_plot.unrooted_points)
     for (a, c), (a2, c2) in sorted(image_pattern.items()):
         target_region = _region(X, a2, c2)
-        for q in sorted(_region(Y, a, c) & rooted, key=str):
-            if phi(q) not in target_region:
-                preserved = False
+        source_region = _region(Y, a, c) & rooted
+        for q, b in Y.top_frame.bit.items():    # ascending bits are str order
+            if source_region & b and not X.top_frame.bit[phi(q)] & target_region:
                 record("LAW.240H", False, (a, q))
-                break
-        if not preserved:
-            break
-    if preserved:
-        record("LAW.240H", True)
-    else:
-        return None, records
+                return None, records
+    record("LAW.240H", True)
 
     if not record("LAW.240I", pruned is None, pruned):
         return None, records
@@ -573,13 +567,13 @@ def functor_F_arrow(gm):
     return result
 
 
-def _lift_violations(lifted):
+def _lift_violations(bed, surjective):
     """The bed-law verdict of a lifted bed, plus the empty-diamond law,
     which applies exactly when the valuation is surjective."""
-    violations = bed_violations(lifted.bed)
-    empty = lifted.frame.bottom
-    if lifted.surjective and lifted.diamond_sigma[empty] != empty:
-        violations.append(("diamond-empty", lifted.diamond_sigma[empty]))
+    violations = bed_violations(bed)
+    empty = bed.frame.bottom
+    if surjective and bed.diamond[empty] != empty:
+        violations.append(("diamond-empty", bed.diamond[empty]))
     return violations
 
 
@@ -593,10 +587,9 @@ def lift_report(plot):
     """
     from .plot import _successor_images, lift_operators
 
-    lifted = lift_operators(plot)
-    frame = lifted.frame
-    bed = lifted.bed
-    violations = _lift_violations(lifted)
+    bed = lift_operators(plot)
+    frame = bed.frame
+    violations = _lift_violations(bed, plot.surjective)
     note = None
     if plot.unrooted_points:
         note = ("diamond-empty not required; unrooted points %s"

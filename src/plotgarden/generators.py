@@ -37,6 +37,11 @@ class Profile:
             raise ProfileUnsatisfiable(
                 "a surjective valuation needs at least %d nodes but at most "
                 "%d are allowed" % (min_points, max_nodes))
+        for key, density in (("edge_density", edge_density),
+                             ("open_density", open_density)):
+            if not 0 <= density <= 1:    # false for NaN too
+                raise ProfileUnsatisfiable("%s %r is not in [0, 1]"
+                                           % (key, density))
         self.min_nodes = min_nodes
         self.max_nodes = max_nodes
         self.min_points = min_points
@@ -138,7 +143,7 @@ def random_garden(rng, profile=None):
     if rng.random() < 0.5:
         return functor_G_object(random_plot(rng, profile))
     base = random_plot(rng, profile)
-    bed = lift_operators(base).bed
+    bed = lift_operators(base)
     fresh = ["q%d" % i for i in
              range(rng.randint(profile.min_points, profile.max_points))]
     base_points = sorted(base.space.points)
@@ -225,6 +230,8 @@ _MAKERS = {
 
 def generate_instances(seed, profile=None, count=20):
     """Deterministic instance list cycling through all four kinds."""
+    if count < 1:
+        raise ProfileUnsatisfiable("count %r is below 1" % (count,))
     profile = profile or Profile()
     out = []
     for i in range(count):

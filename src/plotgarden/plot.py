@@ -253,19 +253,6 @@ def classify_plot_map(m):
     return report
 
 
-class LiftedBed:
-    """The topology of a plot's space furnished with the lifted operators,
-    held in bed, whose tables box_sigma and diamond_sigma share."""
-
-    def __init__(self, bed, space, surjective):
-        self.bed = bed
-        self.frame = bed.frame
-        self.box_sigma = bed.box            # open name -> open name
-        self.diamond_sigma = bed.diamond
-        self.space = space
-        self.surjective = surjective
-
-
 def lift_operators(plot):
     """Lift the structure's box/diamond through the valuation onto opens.
 
@@ -280,15 +267,16 @@ def lift_operators(plot):
     bed that lift_report and functor_G_object read again.  Any failure
     raises PostconditionFailure.
 
-    Lifted once per plot and shared: every later call returns the same
-    LiftedBed, whose tables callers must not mutate.
+    Returns the lifted Bed: the topology frame of the plot's space with
+    the lifted box and diamond, open name to open name.  Lifted once per
+    plot and shared: every later call returns the same Bed, whose tables
+    callers must not mutate.
     """
     from . import garden as garden_mod
     cached = plot.__dict__.get("_lift")
     if cached is not None:
         return cached
-    space = plot.space
-    frame = topology_frame(space)
+    frame = topology_frame(plot.space)
     opens = frame.mask                  # open name -> its point mask
     st = plot.structure
     sigma = plot.valuation
@@ -331,12 +319,11 @@ def lift_operators(plot):
         _recheck_lift_nodewise(plot, frame, box, diamond, fail)
 
     bed = garden_mod.Bed(frame, box, diamond)
-    lifted = LiftedBed(bed, space, plot.surjective)
-    broken = garden_mod._lift_violations(lifted)
+    broken = garden_mod._lift_violations(bed, plot.surjective)
     if broken:
         fail("%s: %s" % broken[0])
-    plot.__dict__["_lift"] = lifted
-    return lifted
+    plot.__dict__["_lift"] = bed
+    return bed
 
 
 def _recheck_lift_nodewise(plot, frame, box, diamond, fail):
@@ -362,23 +349,22 @@ def _recheck_lift_nodewise(plot, frame, box, diamond, fail):
 
 
 def functor_G_object(plot):
-    """The garden of a plot: its topology under the lifted operators,
-    covered by the identity frame morphism.
+    """The garden of a plot: the lifted Bed over the plot's space, covered
+    by the identity frame morphism of the bed's frame, which is the
+    space's topology frame.
 
     Built directly, not through validate_garden: lift_operators has
-    already raised on the lifted bed's law verdict, every covering value
-    is one of the frame's own opens, and the identity of a frame is a
-    surjective frame morphism.
+    already raised on the lifted bed's law verdict, and the identity of
+    a frame is a surjective frame morphism.
     """
     from . import garden as garden_mod
     cached = plot.__dict__.get("_garden_of")
     if cached is not None:
         return cached
-    lifted = lift_operators(plot)
-    frame = lifted.frame
+    bed = lift_operators(plot)
+    frame = bed.frame
     identity = FrameMorphism(frame, frame, {x: x for x in frame.elements})
-    result = garden_mod.Garden(lifted.bed, plot.space, identity,
-                               frame.open_sets, frame)
+    result = garden_mod.Garden(bed, plot.space, identity)
     plot.__dict__["_garden_of"] = result
     return result
 

@@ -11,16 +11,18 @@ pair of opens or points, and every candidate flower; the package decides
 them with per-point tables.  LAW.240B over every candidate flower, the
 filter transfers re-checked against their set definitions, and the map
 classification on frozensets of points are kept in the forms the package
-used before it decided them per pattern and on masks.
+used before it decided them per pattern and on masks, and so are the
+point filters, the pattern table and the transition region over the
+covering's point sets.
 """
 
 import itertools
 import operator
 
 from plotgarden import garden as garden_mod
-from plotgarden.garden import Flower, point_filters
+from plotgarden.garden import Flower, harvest, point_filters
 from plotgarden.generators import _close_topology
-from plotgarden.lattice import Filter, NotAFilter
+from plotgarden.lattice import Filter, NotAFilter, right_adjoint
 from plotgarden.plot import _groups_are_fibres, _successor_images, validate_plot
 from plotgarden.topology import set_name, topology_frame, validate_space
 from plotgarden.transition import TransitionStructure
@@ -571,3 +573,54 @@ def classify_plot_map_on_sets(m):
     report["minus_condition"] = held["minus"]
     report["is_lentile"] = held["lentile"]
     return report
+
+
+# -- the covering on point sets ----------------------------------------------
+
+def point_filters_on_sets(g, p):
+    """garden.point_filters' three member sets, each element tested by
+    membership of p in its covering's point set."""
+    fr, box, diamond = g.bed.frame, g.bed.box, g.bed.diamond
+    return {"nabla": frozenset(x for x in fr.elements if p in g.alpha(x)),
+            "pbb": frozenset(x for x in fr.elements if p in g.alpha(box[x])),
+            "pdd": frozenset(x for x in fr.elements
+                             if p not in g.alpha(diamond[x]))}
+
+
+def patterns_on_sets(g):
+    """garden._patterns with the stalk table scanned out of every point's
+    pdd and the bloom table out of every point's pbb generator."""
+    fr, bit = g.bed.frame, g.top_frame.bit
+    pfs = {bit[p]: point_filters_on_sets(g, p) for p in g.space.points}
+    stalk = {x: sum(b for b, pf in pfs.items() if x in pf["pdd"])
+             for x in fr.mask}
+    bloom = {x: sum(b for b, pf in pfs.items()
+                    if fr.le(x, fr.meet_all(pf["pbb"])))
+             for x in fr.mask}
+    return {(a, c): ra & rc for a, ra in stalk.items() if ra
+            for c, rc in bloom.items() if ra & rc}
+
+
+def region_on_sets(g, stalk, gen):
+    """The points covered by the bloom generator but not by the stalk."""
+    return g.alpha(gen) - g.alpha(stalk)
+
+
+def transition_witness(gm):
+    """garden.functor_F_report's LAW.240H witness on point sets: over the
+    target harvest's patterns in sorted order, the first rooted point of
+    a region, least by str, whose image leaves the region of the image
+    pattern; None when there is none."""
+    X, Y, f = gm.source, gm.target, gm.frame_map
+    fstar = right_adjoint(f)
+    plot = harvest(Y)
+    rooted = Y.space.full - plot.unrooted_points
+    blooms = {(fl.stalk, fl.bloom.generator): fl.bloom
+              for fl in plot.structure.nodes}
+    for a, c in sorted(blooms):
+        image = region_on_sets(X, fstar[a], filter_images(
+            f, blooms[a, c], "inverse").generator)
+        for q in sorted(region_on_sets(Y, a, c) & rooted, key=str):
+            if gm.point_map(q) not in image:
+                return (a, q)
+    return None

@@ -71,10 +71,10 @@ def test_acceptance_1_sierpinski_exact_values():
         plot = ws.resolve("sierp")
         assert plot.space.specialization() == frozenset(
             [("P", "P"), ("Q", "Q"), ("P", "Q")])
-        lifted = lift_operators(plot)
-        assert lifted.box_sigma == {
+        bed = lift_operators(plot)
+        assert bed.box == {
             "{}": "{Q}", "{Q}": "{P,Q}", "{P,Q}": "{P,Q}"}
-        assert lifted.diamond_sigma == {u: "{}" for u in lifted.box_sigma}
+        assert bed.diamond == {u: "{}" for u in bed.box}
         garden = functor_G_object(plot)
         assert len(flower_structure(garden)["flowers"]) == 9
         unit = geometric_unit(plot)

@@ -175,8 +175,21 @@ def test_fuzz_deterministic(tmp_path, capsys):
     assert doc["passed"] is True and len(doc["runs"]) == 8
 
 
-def test_fuzz_bad_profile():
-    assert run_cli(["fuzz", "--seed", "1", "--profile", "shrubs=3"]) == 2
+def test_fuzz_bad_profile(capsys):
+    for profile in ("shrubs=3", "edge_density=nan", "edge_density=-1",
+                    "open_density=inf"):
+        assert run_cli(["fuzz", "--seed", "1", "--profile", profile]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line[:6] for line in captured.err.splitlines()] == ["error:"]
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fuzz_count_below_one(count, capsys):
+    assert run_cli(["fuzz", "--seed", "1", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count %s is below 1\n" % (count,)
 
 
 def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):

@@ -17,9 +17,9 @@ from plotgarden import garden as garden_mod
 from plotgarden import plot as plot_mod
 from plotgarden.garden import (Bed, bed_violations, functor_F_report,
                                identity_garden_morphism, validate_garden)
-from plotgarden.generators import parse_profile, random_plot
-from plotgarden.plot import (LiftedBed, PostconditionFailure,
-                             functor_G_object)
+from plotgarden.generators import (parse_profile, random_lentile_map,
+                                   random_plot)
+from plotgarden.plot import PostconditionFailure, functor_G_object
 from plotgarden.topology import FiniteSpace, TopologyFrame, topology_frame
 
 MEDIUM = parse_profile("nodes=16,points=8")
@@ -89,7 +89,7 @@ def test_plot_suite_derives_each_object_once(plot, monkeypatch):
     frame_checks = []
 
     frame_init = TopologyFrame.__init__
-    bed_init = LiftedBed.__init__
+    bed_init = Bed.__init__
     lift = plot_mod.lift_operators
     build_unit = adjunction._build_geometric_unit
     bed_laws = garden_mod._bed_law_witnesses
@@ -125,7 +125,7 @@ def test_plot_suite_derives_each_object_once(plot, monkeypatch):
         return check_fm(*args)
 
     monkeypatch.setattr(TopologyFrame, "__init__", count_frame)
-    monkeypatch.setattr(LiftedBed, "__init__", count_bed)
+    monkeypatch.setattr(Bed, "__init__", count_bed)
     monkeypatch.setattr(plot_mod, "lift_operators", ask_lift)
     monkeypatch.setattr(adjunction, "_build_geometric_unit", count_unit)
     monkeypatch.setattr(garden_mod, "_bed_law_witnesses", count_verdict)
@@ -146,6 +146,26 @@ def test_plot_suite_derives_each_object_once(plot, monkeypatch):
     # the transposed unit and the algebraic unit; the identity coverings
     # of functor_G_object are not rechecked
     assert len(frame_checks) == 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_plot_map_suite_classifies_its_map_twice(seed, monkeypatch):
+    # functor_G_arrow and the geometric naturality check, and no third
+    # time in the law suite itself
+    m = random_lentile_map(random.Random("classify:%d" % seed))
+    classify = plot_mod.classify_plot_map
+    calls = []
+
+    def count_classify(candidate):
+        if candidate is m:
+            calls.append(candidate)
+        return classify(candidate)
+
+    for module in (plot_mod, adjunction):
+        monkeypatch.setattr(module, "classify_plot_map", count_classify)
+    records = cli.law_suite("plot_map", m)
+    assert records and all(r["passed"] for r in records)
+    assert len(calls) == 2
 
 
 def _report_broken_box_meet(monkeypatch):
@@ -194,9 +214,8 @@ def test_lift_violations_add_the_empty_diamond_law(sierp_space):
     fr = topology_frame(sierp_space)
     bed = Bed(fr, {x: x for x in fr.elements}, {x: fr.top for x in fr.elements})
     assert bed_violations(bed) == []
-    assert garden_mod._lift_violations(LiftedBed(bed, sierp_space, True)) == [
-        ("diamond-empty", fr.top)]
-    assert garden_mod._lift_violations(LiftedBed(bed, sierp_space, False)) == []
+    assert garden_mod._lift_violations(bed, True) == [("diamond-empty", fr.top)]
+    assert garden_mod._lift_violations(bed, False) == []
 
 
 def test_flower_fault_names_the_broken_part(sierp_garden, point_space):

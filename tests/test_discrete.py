@@ -70,8 +70,8 @@ def test_plot_law_suite_passes(n):
 @pytest.mark.parametrize("n", [n for n in SIZES if n <= 7])
 def test_boolean_spectrum_rebuilds_the_relation(n):
     plot = discrete_plot(n)
-    lifted = lift_operators(plot)
-    rebuilt = spec_boolean(lifted.frame, lifted.box_sigma)
+    bed = lift_operators(plot)
+    rebuilt = spec_boolean(bed.frame, bed.box)
     atom = {p: set_name([p]) for p in plot.space.points}
     assert sorted(rebuilt.structure.edges) == sorted(
         (atom[a], atom[b]) for a, b in plot.structure.edges)

@@ -184,7 +184,7 @@ def assert_patterns_expand_to_their_regions(g, st):
         if key in seen:
             continue
         seen.add(key)
-        region = _region(g, *key)
+        region = g.top_frame.points_of(_region(g, *key))
         assert st.steps[fl] == region & live
         assert st.succ[fl] == frozenset(
             s for q in region for s in by_root.get(q, ()))

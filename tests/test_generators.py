@@ -8,7 +8,7 @@ from plotgarden.generators import (Profile, ProfileUnsatisfiable,
                                    random_lentile_map, random_plot,
                                    shrink_instance)
 from plotgarden.plot import classify_plot_map, lift_operators
-from plotgarden.garden import (Bed, Flower, check_garden_morphism, harvest,
+from plotgarden.garden import (Flower, check_garden_morphism, harvest,
                               validate_garden)
 from conftest import build_plot, build_space
 
@@ -20,6 +20,14 @@ def test_profile_bounds():
         Profile(max_nodes=1, min_points=2, max_points=2)
     with pytest.raises(ProfileUnsatisfiable):
         Profile(min_points=0)
+    for key in ("edge_density", "open_density"):
+        for bad in (float("nan"), -1.0, 1.5, float("inf")):
+            with pytest.raises(ProfileUnsatisfiable, match=key):
+                Profile(**{key: bad})
+        for good in (0.0, 1.0):
+            assert getattr(Profile(**{key: good}), key) == good
+    with pytest.raises(ProfileUnsatisfiable):
+        parse_profile("edge_density=nan")
 
 
 def test_parse_profile():
@@ -88,11 +96,10 @@ def test_quotient_covering_garden():
                              [[], ["x"], ["x", "y"], ["x", "y", "z"]])
     base = build_plot(["n0", "n1", "n2"], [("n0", "n1")], base_space,
                       {"n0": "x", "n1": "y", "n2": "z"})
-    lifted = lift_operators(base)
-    bed = Bed(lifted.frame, lifted.box_sigma, lifted.diamond_sigma)
+    bed = lift_operators(base)
     psi = {"Q": "x", "P": "y"}
-    cover = {el: sorted(p for p in psi if psi[p] in lifted.frame.set_of(el))
-             for el in lifted.frame.elements}
+    cover = {el: sorted(p for p in psi if psi[p] in bed.frame.set_of(el))
+             for el in bed.frame.elements}
     space = build_space(["P", "Q"], [[], ["Q"], ["P", "Q"]])
     g = validate_garden(bed, space, cover)
     assert any(g.covering(x) != x for x in g.bed.frame.elements)

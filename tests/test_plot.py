@@ -33,9 +33,9 @@ def test_valuation_must_be_total_and_surjective(sierp_space):
 
 
 def test_lift_on_sierpinski(sierp_plot):
-    lifted = lift_operators(sierp_plot)
-    assert lifted.box_sigma == {"{}": "{Q}", "{Q}": "{P,Q}", "{P,Q}": "{P,Q}"}
-    assert lifted.diamond_sigma == {"{}": "{}", "{Q}": "{}", "{P,Q}": "{}"}
+    bed = lift_operators(sierp_plot)
+    assert bed.box == {"{}": "{Q}", "{Q}": "{P,Q}", "{P,Q}": "{P,Q}"}
+    assert bed.diamond == {"{}": "{}", "{Q}": "{}", "{P,Q}": "{}"}
     records = lift_report(sierp_plot)
     assert all(r["passed"] for r in records)
 
@@ -45,7 +45,7 @@ def test_lift_on_sierpinski(sierp_plot):
 def test_lift_matches_powerset_definition(seed):
     rng = random.Random("lift:%d" % seed)
     plot = random_plot(rng)
-    lifted = lift_operators(plot)
+    bed = lift_operators(plot)
     st = plot.structure
     opens = plot.space.sorted_opens()
     pre = {set_name(U): frozenset(n for n in plot.structure.nodes
@@ -58,11 +58,11 @@ def test_lift_matches_powerset_definition(seed):
             *[V for V in opens if pre[set_name(V)] <= box_pre])
         dia_u = frozenset().union(
             *[V for V in opens if pre[set_name(V)] <= dia_pre])
-        assert lifted.box_sigma[uname] == set_name(box_u)
-        assert lifted.diamond_sigma[uname] == set_name(dia_u)
+        assert bed.box[uname] == set_name(box_u)
+        assert bed.diamond[uname] == set_name(dia_u)
         # laxity of the valuation preimage, by definition
-        assert pre[lifted.box_sigma[uname]] <= box_pre
-        assert pre[lifted.diamond_sigma[uname]] <= dia_pre
+        assert pre[bed.box[uname]] <= box_pre
+        assert pre[bed.diamond[uname]] <= dia_pre
         # the defining biconditional, on every open pair
         for V in opens:
             assert (pre[set_name(V)] <= box_pre) == (V <= box_u)
@@ -73,13 +73,13 @@ def test_nodewise_recheck_rejects_a_lax_table_that_is_not_largest():
     # a table of empty opens is lax, so LAW.220J passes it; only the
     # nodewise recheck sees that the lift of {Q} under box is not the largest
     plot = parse_workspace(FIXTURES.read_text()).resolve("sierp")
-    lifted = lift_operators(plot)
-    box, diamond = lifted.box_sigma, lifted.diamond_sigma
+    bed = lift_operators(plot)
+    box, diamond = bed.box, bed.diamond
     calls = []
-    _recheck_lift_nodewise(plot, lifted.frame, box, diamond, calls.append)
+    _recheck_lift_nodewise(plot, bed.frame, box, diamond, calls.append)
     assert calls == []
     empty = {U: "{}" for U in box}
-    _recheck_lift_nodewise(plot, lifted.frame, empty, diamond, calls.append)
+    _recheck_lift_nodewise(plot, bed.frame, empty, diamond, calls.append)
     assert calls and all(c.startswith("nodewise box recheck fails")
                          for c in calls)
 

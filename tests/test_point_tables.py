@@ -124,10 +124,9 @@ def plots():
 
 def test_lift_matches_the_join_over_every_open():
     for plot in plots():
-        lifted = lift_operators(plot)
-        assert (lifted.box_sigma, lifted.diamond_sigma) == references.lift(plot)
-        assert references.lift_defect(plot, lifted.box_sigma,
-                                      lifted.diamond_sigma) is None
+        bed = lift_operators(plot)
+        assert (bed.box, bed.diamond) == references.lift(plot)
+        assert references.lift_defect(plot, bed.box, bed.diamond) is None
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
